@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, sample_negatives
-from .losses import GradBuffer, LossBreakdown, _add_score_grads, _batch_scores, _uniform, _weighted_bce, kge_loss
-from .model import CroppableModel, _truncate, reorder_dimensions
-from .optim import lr_schedule
-from .scoring import batch_score, batch_score_grad
-from .train import TrainConfig, TrainResult, TrainState, init_state, run_training_loop, run_with_lr_policy, train_med, TrainingDiverged
+from .losses import GradBuffer, LossBreakdown, PrefixBatch, class_mean_bce, kge_loss
+from .model import CroppableModel, reorder_dimensions, with_schedule
+from .scoring import batch_score
+from .train import TrainConfig, TrainResult, TrainState, init_state, run_training_loop, run_with_lr_policy, train_med
 
 
 def train_dt(dataset: Dataset, dim: int, cfg: TrainConfig) -> TrainResult:
@@ -109,7 +108,7 @@ def ext_crop(model: CroppableModel, dim: int, importance: ImportanceVector | Non
     if importance is not None:
         scores = getattr(importance, "scores", importance)
         model = reorder_dimensions(model, scores)
-    return _truncate(model, dim)
+    return with_schedule(model, tuple(d for d in model.dims if d < dim) + (dim,))
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -131,16 +130,14 @@ def bkd_loss(
     k negatives), softmaxed at temperature T. Teacher scores are constants.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
-    ph, pr, pt = positives[:, 0], positives[:, 1], positives[:, 2]
-    nh, nr, nt = negatives.flat()
     b, k = negatives.heads.shape
+    batch = PrefixBatch(student, student.n, positives, negatives)
+    s_all = batch.scores(student.n)
+    s_pos, s_neg = s_all[:b], s_all[b:]
+    bce, dpos, dneg = class_mean_bce(s_pos, s_neg)
 
-    s_pos, gpos, ids_pos, tabs_pos = batch_score_grad(student, student.n, ph, pr, pt, check=False)
-    s_neg, gneg, ids_neg, tabs_neg = batch_score_grad(student, student.n, nh, nr, nt, check=False)
-    bce, dpos, dneg = _weighted_bce(s_pos, _uniform(len(s_pos)), s_neg, _uniform(len(s_neg)))
-
-    t_pos = _batch_scores(teacher, teacher.n, ph, pr, pt)
-    t_neg = _batch_scores(teacher, teacher.n, nh, nr, nt)
+    t_all = PrefixBatch(teacher, teacher.n, positives, negatives).scores(teacher.n)
+    t_pos, t_neg = t_all[:b], t_all[b:]
     z_t = np.column_stack([t_pos, t_neg.reshape(b, k)])
     z_s = np.column_stack([s_pos, s_neg.reshape(b, k)])
     p = _softmax_rows(z_t / temperature)
@@ -152,9 +149,7 @@ def bkd_loss(
     dpos_total = alpha * dpos + dz[:, 0]
     dneg_total = alpha * dneg + dz[:, 1:].reshape(-1)
 
-    buf = GradBuffer()
-    _add_score_grads(buf, dpos_total, gpos, ids_pos, tabs_pos)
-    _add_score_grads(buf, dneg_total, gneg, ids_neg, tabs_neg)
+    buf = batch.grads({student.n: np.concatenate([dpos_total, dneg_total])})
     breakdown = LossBreakdown(
         index=student.n, total=total, ei={student.n: bce}, ml=None,
         lambdas={student.n: 1.0}, kl=kl,
@@ -175,19 +170,9 @@ def distill_bkd(
         raise ValueError(f"student dim {student_dim} out of range 1..{teacher.dim}")
     scfg = replace(cfg, score_fn=teacher.score_fn, dims=(int(student_dim),), probe_dims=None)
 
-    def step(state: TrainState, positives: np.ndarray) -> LossBreakdown:
+    def step(state: TrainState, positives: np.ndarray) -> tuple[LossBreakdown, GradBuffer]:
         negatives = sample_negatives(positives, scfg.neg_per_pos, state.num_entities, state.rng)
-        breakdown, buf = bkd_loss(
-            state.model, teacher, positives, negatives, temperature=temperature, alpha=alpha
-        )
-        if not breakdown.finite():
-            raise TrainingDiverged(
-                f"non-finite distillation loss at step {state.step}", batch=np.array(positives)
-            )
-        lr_t = lr_schedule(state.step, state.max_steps, state.lr)
-        state.adam.apply(state.model, buf.finalized(), buf.w, lr_t)
-        state.step += 1
-        return breakdown
+        return bkd_loss(state.model, teacher, positives, negatives, temperature=temperature, alpha=alpha)
 
     def run(lr: float) -> TrainResult:
         state = init_state(dataset, scfg, lr)

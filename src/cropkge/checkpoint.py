@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LAYOUTS, NORMS, SCORE_KINDS, CroppableModel, ScoreFunction
+from .model import LAYOUTS, NORMS, SCORE_KINDS, CroppableModel, ScoreFunction, check_schedule
 
 MAGIC = b"CKGE"
 VERSION = 1
@@ -75,7 +75,13 @@ def load_checkpoint(path: str | Path) -> CroppableModel:
             raise ValueError(f"unknown score-function id {kind_id}")
         if norm_id >= len(NORMS):
             raise ValueError(f"unknown norm id {norm_id}")
+        if n < 1:
+            raise ValueError(f"bad checkpoint header: schedule has n={n} sub-models, need n >= 1")
         dims = struct.unpack(f"<{n}I", _need(fh, 4 * n, "schedule"))
+        try:
+            dims = check_schedule(dims)
+        except ValueError as exc:
+            raise ValueError(f"bad checkpoint header: {exc}") from None
         num_entities, num_relations = struct.unpack("<II", _need(fh, 8, "vocab sizes"))
         w1, w2, w3 = struct.unpack("<3d", _need(fh, 24, "scalars"))
         (table_count,) = struct.unpack("<B", _need(fh, 1, "table count"))
@@ -100,7 +106,7 @@ def load_checkpoint(path: str | Path) -> CroppableModel:
             raise ValueError(f"checkpoint tables {list(tables)} do not match layout {expected}")
     return CroppableModel(
         score_fn=score_fn,
-        dims=tuple(int(d) for d in dims),
+        dims=dims,
         num_entities=num_entities,
         num_relations=num_relations,
         tables=tables,

@@ -14,6 +14,7 @@ arrays, so thread count never changes the numbers.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,7 @@ class _Evaluator:
     """Caches float64 prefix tables for repeated ranking at one width."""
 
     def __init__(self, model: CroppableModel, d: int, dataset: Dataset):
+        self.dim = d
         self.tables = prefix_tables64(model, d)
         self.kind = model.score_fn.kind
         self.norm = model.score_fn.norm
@@ -77,6 +79,10 @@ class _Evaluator:
         keep[gold] = True
         kept = scores[keep]
         gold_score = scores[gold]
+        if not math.isfinite(gold_score):
+            raise ValueError(
+                f"non-finite gold score {gold_score} at dim {self.dim} ({side} side of triple {(h, r, t)})"
+            )
         greater = int(np.count_nonzero(kept > gold_score))
         equal = int(np.count_nonzero(kept == gold_score)) - 1
         return 1.0 + greater + 0.5 * equal
@@ -107,9 +113,7 @@ def rank_triple(model: CroppableModel, i: int, triple, dataset: Dataset, side: s
     return _Evaluator(model, d, dataset).rank(triple, side)
 
 
-def rank_outcomes(
-    model: CroppableModel, i: int, dataset: Dataset, split: str = "test", threads: int = 1
-) -> list[RankOutcome]:
+def rank_outcomes(model: CroppableModel, i: int, dataset: Dataset, split: str = "test") -> list[RankOutcome]:
     """Per-triple rank outcomes for a whole split."""
     triples = dataset.split(split)
     ev = _Evaluator(model, model.dims[i - 1], dataset)

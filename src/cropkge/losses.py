@@ -14,16 +14,25 @@ EI loss is exactly the plain per-class-mean BCE.
 
 All reductions are means over the batch; the EI terms are already
 normalized by their softmax weights, so no further mean is applied there.
+
+total_loss computes a step in one pass. Sub-model i-1 is a column prefix
+of sub-model i, so one gather at d_i of the batch's positives and
+negatives (PrefixBatch) gives the scores at every width the step reads:
+d_i, d_{i-1}, and d_{i-2} in pair mode. d(loss)/d(score) from each term is
+summed per width, folded into one per-column gradient of the score terms,
+mapped to slot gradients once, and scattered once per table (segment_sum).
+ei_loss and mutual_learning_loss compute the same terms one pass at a
+time; they are the reference the one-pass step is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import NegativeBatch
 from .model import CroppableModel
-from .scoring import batch_score_grad, gather_slots, _kernel
+from .scoring import _backward, _forward, _scores, _vjp, batch_score, batch_score_grad, gather_slots
 
 RAW_EPS = 1e-6
 
@@ -55,11 +64,32 @@ def huber_grad(residual, delta: float = 1.0):
     return np.clip(r, -delta, delta)
 
 
+def segment_sum(contribs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum gradient rows that share a row id.
+
+    contribs are (row ids (M,), block (M, w)) pairs; a block narrower than
+    the widest fills the leading columns. Returns (sorted unique row ids,
+    summed block). Each cell sums the contributions in list order, and
+    within one contribution in row order (np.bincount adds in input
+    order), so equal inputs give equal bytes.
+    """
+    width = max(block.shape[1] for _, block in contribs)
+    uids, inverse = np.unique(np.concatenate([ids for ids, _ in contribs]), return_inverse=True)
+    sums = np.zeros(len(uids) * width, dtype=np.float64)
+    row = 0
+    for ids, block in contribs:
+        n, w = block.shape
+        cells = (inverse[row : row + n] * width)[:, None] + np.arange(w)
+        sums += np.bincount(cells.ravel(), weights=block.ravel(), minlength=sums.size)
+        row += n
+    return uids, sums.reshape(len(uids), width)
+
+
 class GradBuffer:
     """Sparse gradient accumulator: table row blocks plus scalar grads.
 
-    Contributions are appended cheaply and merged by row id in finalized();
-    blocks of different prefix widths are zero-padded to the widest.
+    Contributions are appended cheaply and summed by row id in finalized(),
+    one segment_sum per table.
     """
 
     def __init__(self):
@@ -73,29 +103,9 @@ class GradBuffer:
     def add_scalar(self, name: str, value: float) -> None:
         self.w[name] += float(value)
 
-    def merge(self, other: "GradBuffer", scale: float = 1.0) -> None:
-        for table, contribs in other._contribs.items():
-            for ids, grads in contribs:
-                self.add(table, ids, grads if scale == 1.0 else grads * scale)
-        for name, value in other.w.items():
-            self.w[name] += scale * value
-        self.clamped += other.clamped
-
     def finalized(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per table: (unique row ids, accumulated gradient block)."""
-        out = {}
-        for table, contribs in self._contribs.items():
-            width = max(g.shape[1] for _, g in contribs)
-            all_ids = np.concatenate([ids for ids, _ in contribs])
-            uids, inverse = np.unique(all_ids, return_inverse=True)
-            acc = np.zeros((len(uids), width), dtype=np.float64)
-            offset = 0
-            for ids, grads in contribs:
-                view = acc[:, : grads.shape[1]]
-                np.add.at(view, inverse[offset : offset + len(ids)], grads)
-                offset += len(ids)
-            out[table] = (uids, acc)
-        return out
+        return {table: segment_sum(contribs) for table, contribs in self._contribs.items()}
 
     def dense(self, shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
         """Full-shape gradient arrays (testing convenience)."""
@@ -103,6 +113,55 @@ class GradBuffer:
         for table, (uids, acc) in self.finalized().items():
             out[table][uids, : acc.shape[1]] += acc
         return out
+
+
+class PrefixBatch:
+    """One gather and forward pass over positives then negatives at sub-model i.
+
+    scores(idx) reads sub-model idx <= i from column prefixes of that pass;
+    grads() folds d(loss)/d(score) at every width into one backward pass.
+    """
+
+    def __init__(self, model: CroppableModel, i: int, positives: np.ndarray, negatives: NegativeBatch):
+        positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+        nh, nr, nt = negatives.flat()
+        h = np.concatenate([positives[:, 0], nh])
+        r = np.concatenate([positives[:, 1], nr])
+        t = np.concatenate([positives[:, 2], nt])
+        vecs, self.ids, self.tables = gather_slots(model, i, h, r, t, check=False)
+        self.kind, self.norm, self.dims = model.score_fn.kind, model.score_fn.norm, model.dims
+        self.parts, self.saved = _forward(self.kind, vecs)
+        self._scores: dict[int, np.ndarray] = {}
+
+    def _prefix(self, idx: int) -> tuple:
+        d = self.dims[idx - 1]
+        return tuple(p[:, :d] for p in self.parts)
+
+    def scores(self, idx: int) -> np.ndarray:
+        """Scores of sub-model idx, one per triple (positives first)."""
+        if idx not in self._scores:
+            self._scores[idx] = _scores(self.kind, self.norm, self._prefix(idx))
+        return self._scores[idx]
+
+    def grads(self, dscores: dict[int, np.ndarray]) -> GradBuffer:
+        """Table gradients of sum over idx of dscores[idx] . scores(idx).
+
+        dscores must hold the batch's own index i: its full-width block is
+        the accumulator the narrower ones add into.
+        """
+        g = None
+        for idx in sorted(dscores, reverse=True):
+            d = self.dims[idx - 1]
+            blocks = _vjp(self.kind, self.norm, self._prefix(idx), self.scores(idx), dscores[idx])
+            if g is None:
+                g = list(blocks)
+            else:
+                for acc, block in zip(g, blocks):
+                    acc[:, :d] += block
+        buf = GradBuffer()
+        for slot, grad in _backward(self.kind, self.saved, g).items():
+            buf.add(self.tables[slot], self.ids[slot], grad)
+        return buf
 
 
 @dataclass
@@ -137,6 +196,11 @@ def _weighted_bce(pos_scores, pos_w, neg_scores, neg_w):
     return value, dpos, dneg
 
 
+def class_mean_bce(pos_scores, neg_scores):
+    """Per-class-mean BCE value and d/d(score) for positives and negatives."""
+    return _weighted_bce(pos_scores, _uniform(len(pos_scores)), neg_scores, _uniform(len(neg_scores)))
+
+
 def kge_loss(scores, labels) -> float:
     """Plain BCE on scores with 0/1 labels, mean-reduced per label class.
 
@@ -150,7 +214,7 @@ def kge_loss(scores, labels) -> float:
         raise ValueError("scores and labels must have the same length")
     pos = scores[labels == 1]
     neg = scores[labels == 0]
-    value, _, _ = _weighted_bce(pos, _uniform(len(pos)), neg, _uniform(len(neg)))
+    value, _, _ = class_mean_bce(pos, neg)
     return value
 
 
@@ -214,12 +278,6 @@ def _ei_weights_neg_full(teacher_scores, w2, i, mode):
     return weights, dw, clamped
 
 
-def _batch_scores(model, i, h, r, t):
-    vecs, _, _ = gather_slots(model, i, h, r, t, check=False)
-    scores, _ = _kernel(model.score_fn.kind, vecs, model.score_fn.norm, want_grad=False)
-    return scores
-
-
 def _add_score_grads(buf, dscores, grads, ids, tables):
     for slot, g in grads.items():
         buf.add(tables[slot], ids[slot], g * dscores[:, None])
@@ -251,8 +309,8 @@ def ei_loss(
         pos_w, dw1 = _uniform(len(s_pos)), None
         neg_w, dw2 = _uniform(len(s_neg)), None
     else:
-        t_pos = _batch_scores(model, i - 1, ph, pr, pt)
-        t_neg = _batch_scores(model, i - 1, nh, nr, nt)
+        t_pos = batch_score(model, i - 1, positives)
+        t_neg = batch_score(model, i - 1, np.stack([nh, nr, nt], axis=1))
         pos_w, dw1, c1 = _ei_weights_pos_full(t_pos, model.w1, i, mode)
         neg_w, dw2, c2 = _ei_weights_neg_full(t_neg, model.w2, i, mode)
         buf.clamped += c1 + c2
@@ -306,54 +364,78 @@ def total_loss(
     ei_mode: str = "sigmoid",
     pair_mode: str = "single",
 ) -> tuple[LossBreakdown, GradBuffer]:
-    """Per-step objective at the sampled sub-model index.
+    """Per-step objective at the sampled sub-model index, in one pass.
 
     lambda_index * L_EI^index, plus the neighbor mutual-learning term for
     index >= 2; pair_mode="pair" also optimizes lambda_{index-1} *
     L_EI^{index-1}. Ablations: no_mlm drops the mutual term, no_eim swaps
     the EI loss for the plain BCE, no_dlw pins every lambda to 1 (and stops
-    w3 from learning). They compose independently.
+    w3 from learning). They compose independently. Values equal
+    ei_loss/mutual_learning_loss bitwise; gradients agree up to summation
+    order.
     """
     if pair_mode not in ("single", "pair"):
         raise ValueError(f"unknown pair mode {pair_mode!r}")
     if not 1 <= index <= model.n:
         raise ValueError(f"sub-model index {index} out of range 1..{model.n}")
-    d_n = model.dim
-    buf = GradBuffer()
-    ei_values: dict[int, float] = {}
-    lambdas: dict[int, float] = {}
+    b = len(np.asarray(positives).reshape(-1, 3))
+    batch = PrefixBatch(model, index, positives, negatives)
 
     ei_indices = [index]
     if pair_mode == "pair" and index >= 2:
         ei_indices.append(index - 1)
+    with_ml = index >= 2 and not no_mlm
 
+    w = {"w1": 0.0, "w2": 0.0, "w3": 0.0}
+    clamped = 0
+    dscores: dict[int, np.ndarray] = {}
+    ei_values: dict[int, float] = {}
+    lambdas: dict[int, float] = {}
     total = 0.0
     for idx in ei_indices:
-        value, grads = ei_loss(model, idx, positives, negatives, mode=ei_mode, force_uniform=no_eim)
+        s_pos, s_neg = batch.scores(idx)[:b], batch.scores(idx)[b:]
+        if idx == 1 or no_eim:
+            pos_w, dw1 = _uniform(len(s_pos)), None
+            neg_w, dw2 = _uniform(len(s_neg)), None
+        else:
+            teacher = batch.scores(idx - 1)
+            pos_w, dw1, c1 = _ei_weights_pos_full(teacher[:b], model.w1, idx, ei_mode)
+            neg_w, dw2, c2 = _ei_weights_neg_full(teacher[b:], model.w2, idx, ei_mode)
+            clamped += c1 + c2
+        value, dpos, dneg = _weighted_bce(s_pos, pos_w, s_neg, neg_w)
         if no_dlw:
             lam, dlam = 1.0, 0.0
         else:
-            ratio = model.dims[idx - 1] / d_n
+            ratio = model.dims[idx - 1] / model.dim
             lam = float(np.exp(model.w3 * ratio))
             dlam = ratio * lam
-        buf.merge(grads, scale=lam)
-        buf.add_scalar("w3", dlam * value)
+        dscores[idx] = lam * np.concatenate([dpos, dneg])
+        if dw1 is not None:
+            w["w1"] += lam * float(np.dot(softplus(-s_pos), dw1))
+            w["w2"] += lam * float(np.dot(softplus(s_neg), dw2))
+        w["w3"] += float(dlam * value)
         ei_values[idx] = value
         lambdas[idx] = lam
         total += lam * value
 
     ml_value = None
-    if index >= 2 and not no_mlm:
-        ml_value, ml_grads = mutual_learning_loss(model, index, positives, negatives)
-        buf.merge(ml_grads)
+    if with_ml:
+        resid = batch.scores(index - 1) - batch.scores(index)
+        ml_value = float(np.mean(huber(resid)))
+        dresid = huber_grad(resid) / len(resid)
+        dscores[index - 1] = dscores.get(index - 1, 0.0) + dresid
+        dscores[index] = dscores[index] - dresid
         total += ml_value
 
+    buf = batch.grads(dscores)
+    buf.w = w
+    buf.clamped = clamped
     breakdown = LossBreakdown(
         index=index,
         total=total,
         ei=ei_values,
         ml=ml_value,
         lambdas=lambdas,
-        clamped=buf.clamped,
+        clamped=clamped,
     )
     return breakdown, buf

@@ -13,7 +13,7 @@ Table layouts per score function (all tables share width d_n):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -56,79 +56,118 @@ class ScoreGrad:
     partials: dict[tuple[str, int], np.ndarray]
 
 
-def _neg_norm(res: np.ndarray, norm: str, want_grad: bool):
-    """Score -||res|| and, optionally, its gradient with respect to res."""
+def _neg_norm(res: np.ndarray, norm: str) -> np.ndarray:
+    """Score -||res|| over the last axis."""
     if norm == "l2":
-        nrm = np.sqrt(np.sum(res * res, axis=-1))
-        if not want_grad:
-            return -nrm, None
-        denom = np.where(nrm == 0.0, 1.0, nrm)
-        return -nrm, -res / denom[..., None]
-    nrm = np.sum(np.abs(res), axis=-1)
-    if not want_grad:
-        return -nrm, None
-    return -nrm, -np.sign(res)
+        return -np.sqrt(np.sum(res * res, axis=-1))
+    return -np.sum(np.abs(res), axis=-1)
 
 
-def _kernel(kind: str, vecs: dict[str, np.ndarray], norm: str, want_grad: bool):
-    """Broadcast score kernel; returns (scores, slot gradients or None)."""
+def _neg_norm_vjp(res: np.ndarray, norm: str, scores: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """ds * d(score)/d(res) for score = -||full residual||.
+
+    res may be one part of the residual (rotate's real or imaginary half):
+    the L2 derivative is res scaled per row by -ds/||full residual||, and
+    the L1 one is -sign(res) * ds. Subgradients at 0 are 0.
+    """
+    if norm == "l2":
+        nrm = -scores
+        return res * (-ds / np.where(nrm == 0.0, 1.0, nrm))[..., None]
+    return np.sign(res) * -ds[..., None]
+
+
+def _forward(kind: str, vecs: dict[str, np.ndarray]):
+    """Per-column score terms plus what the backward pass reuses.
+
+    Returns (parts, saved). parts are the residual (transe, pairre), its real
+    and imaginary halves (rotate) or the two triple products (simple); the
+    score at any width d reads only their first d columns.
+    """
     if kind == "transe":
-        res = vecs["h"] + vecs["r"] - vecs["t"]
-        scores, u = _neg_norm(res, norm, want_grad)
-        if not want_grad:
-            return scores, None
-        return scores, {"h": u, "r": u, "t": -u}
-
+        return (vecs["h"] + vecs["r"] - vecs["t"],), None
     if kind == "pairre":
-        res = vecs["h"] * vecs["r_head"] - vecs["t"] * vecs["r_tail"]
-        scores, u = _neg_norm(res, norm, want_grad)
-        if not want_grad:
-            return scores, None
-        return scores, {
-            "h": u * vecs["r_head"],
-            "r_head": u * vecs["h"],
-            "t": -u * vecs["r_tail"],
-            "r_tail": -u * vecs["t"],
-        }
-
+        return (vecs["h"] * vecs["r_head"] - vecs["t"] * vecs["r_tail"],), vecs
     if kind == "simple":
-        s1 = np.sum(vecs["h_head"] * vecs["rel"] * vecs["t_tail"], axis=-1)
-        s2 = np.sum(vecs["t_head"] * vecs["rel_inv"] * vecs["h_tail"], axis=-1)
-        scores = 0.5 * (s1 + s2)
-        if not want_grad:
-            return scores, None
-        return scores, {
-            "h_head": 0.5 * vecs["rel"] * vecs["t_tail"],
-            "rel": 0.5 * vecs["h_head"] * vecs["t_tail"],
-            "t_tail": 0.5 * vecs["h_head"] * vecs["rel"],
-            "t_head": 0.5 * vecs["rel_inv"] * vecs["h_tail"],
-            "rel_inv": 0.5 * vecs["t_head"] * vecs["h_tail"],
-            "h_tail": 0.5 * vecs["t_head"] * vecs["rel_inv"],
-        }
-
+        p1 = vecs["h_head"] * vecs["rel"] * vecs["t_tail"]
+        p2 = vecs["t_head"] * vecs["rel_inv"] * vecs["h_tail"]
+        return (p1, p2), vecs
     if kind == "rotate":
         c = np.cos(vecs["phase"])
         s = np.sin(vecs["phase"])
         pr = vecs["h_re"] * c - vecs["h_im"] * s
         pi = vecs["h_re"] * s + vecs["h_im"] * c
-        rr = pr - vecs["t_re"]
-        ri = pi - vecs["t_im"]
-        res = np.concatenate([rr, ri], axis=-1)
-        scores, u = _neg_norm(res, norm, want_grad)
-        if not want_grad:
-            return scores, None
-        d = rr.shape[-1]
-        ur = u[..., :d]
-        ui = u[..., d:]
-        return scores, {
-            "h_re": ur * c + ui * s,
-            "h_im": -ur * s + ui * c,
-            "phase": -ur * pi + ui * pr,
-            "t_re": -ur,
-            "t_im": -ui,
-        }
-
+        return (pr - vecs["t_re"], pi - vecs["t_im"]), (c, s, pr, pi)
     raise ValueError(f"unknown score function kind {kind!r}")
+
+
+def _scores(kind: str, norm: str, parts) -> np.ndarray:
+    """Scores from forward parts, or from their first d columns.
+
+    Row reductions over a column prefix p[:, :d] give the same bits as over
+    a width-d block, so a score does not depend on the width it was cut
+    from.
+    """
+    if kind == "simple":
+        p1, p2 = parts
+        return 0.5 * (np.sum(p1, axis=-1) + np.sum(p2, axis=-1))
+    if kind == "rotate":
+        return _neg_norm(np.concatenate(parts, axis=-1), norm)
+    return _neg_norm(parts[0], norm)
+
+
+def _vjp(kind: str, norm: str, parts, scores: np.ndarray, ds: np.ndarray):
+    """ds * d(score)/d(part), one block per part; scores = _scores(kind, norm, parts)."""
+    if kind == "simple":
+        half = (0.5 * ds)[..., None]
+        return tuple(half * np.ones(p.shape) for p in parts)
+    return tuple(_neg_norm_vjp(p, norm, scores, ds) for p in parts)
+
+
+def _backward(kind: str, saved, g):
+    """Slot gradients from per-column gradients g of the forward parts.
+
+    The map is linear in g, so summing d(loss)/d(part) over every width a
+    step reads first and calling this once equals calling it per width.
+    """
+    if kind == "transe":
+        (u,) = g
+        return {"h": u, "r": u, "t": -u}
+    if kind == "pairre":
+        (u,) = g
+        return {
+            "h": u * saved["r_head"],
+            "r_head": u * saved["h"],
+            "t": -u * saved["r_tail"],
+            "r_tail": -u * saved["t"],
+        }
+    if kind == "simple":
+        g1, g2 = g
+        return {
+            "h_head": g1 * saved["rel"] * saved["t_tail"],
+            "rel": g1 * saved["h_head"] * saved["t_tail"],
+            "t_tail": g1 * saved["h_head"] * saved["rel"],
+            "t_head": g2 * saved["rel_inv"] * saved["h_tail"],
+            "rel_inv": g2 * saved["t_head"] * saved["h_tail"],
+            "h_tail": g2 * saved["t_head"] * saved["rel_inv"],
+        }
+    ur, ui = g
+    c, s, pr, pi = saved
+    return {
+        "h_re": ur * c + ui * s,
+        "h_im": -ur * s + ui * c,
+        "phase": -ur * pi + ui * pr,
+        "t_re": -ur,
+        "t_im": -ui,
+    }
+
+
+def _kernel(kind: str, vecs: dict[str, np.ndarray], norm: str, want_grad: bool):
+    """Broadcast score kernel; returns (scores, slot gradients or None)."""
+    parts, saved = _forward(kind, vecs)
+    scores = _scores(kind, norm, parts)
+    if not want_grad:
+        return scores, None
+    return scores, _backward(kind, saved, _vjp(kind, norm, parts, scores, np.ones_like(scores)))
 
 
 def _prefix_dim(model: CroppableModel, i: int) -> int:

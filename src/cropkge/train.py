@@ -15,13 +15,13 @@ bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import evaluate
 from .data import Dataset, sample_negatives
-from .losses import LossBreakdown, total_loss
+from .losses import GradBuffer, LossBreakdown, total_loss
 from .model import CroppableModel, ScoreFunction, check_schedule, init_model
 from .optim import Adam, lr_schedule
 
@@ -136,12 +136,12 @@ def init_state(dataset: Dataset, cfg: TrainConfig, lr: float) -> TrainState:
     )
 
 
-def train_step(state: TrainState, positives: np.ndarray) -> LossBreakdown:
-    """One optimization step on a batch of positive triples."""
+def med_step(state: TrainState, positives: np.ndarray) -> tuple[LossBreakdown, GradBuffer]:
+    """MED loss and gradients on a batch of positives (no update)."""
     cfg = state.cfg
     negatives = sample_negatives(positives, cfg.neg_per_pos, state.num_entities, state.rng)
     index = int(state.rng.integers(1, state.model.n + 1))
-    breakdown, buf = total_loss(
+    return total_loss(
         state.model,
         index,
         positives,
@@ -152,14 +152,23 @@ def train_step(state: TrainState, positives: np.ndarray) -> LossBreakdown:
         ei_mode=cfg.ei_mode,
         pair_mode=cfg.pair_mode,
     )
+
+
+def train_step(state: TrainState, positives: np.ndarray, step_fn=med_step) -> LossBreakdown:
+    """One optimization step: step_fn's loss and gradients, then Adam.
+
+    step_fn(state, positives) -> (LossBreakdown, GradBuffer). A non-finite
+    loss raises TrainingDiverged before anything is updated.
+    """
+    breakdown, grads = step_fn(state, positives)
     if not breakdown.finite():
         raise TrainingDiverged(
-            f"non-finite loss at step {state.step} (sub-model {index}, total={breakdown.total!r}); "
+            f"non-finite loss at step {state.step} (sub-model {breakdown.index}, total={breakdown.total!r}); "
             f"offending batch of {len(positives)} positives attached",
             batch=np.array(positives),
         )
     lr_t = lr_schedule(state.step, state.max_steps, state.lr)
-    state.adam.apply(state.model, buf.finalized(), buf.w, lr_t)
+    state.adam.apply(state.model, grads.finalized(), grads.w, lr_t)
     state.step += 1
     return breakdown
 
@@ -205,9 +214,9 @@ class _EpochStats:
 def run_training_loop(dataset: Dataset, cfg: TrainConfig, state: TrainState, step_fn) -> TrainResult:
     """Shared epoch/validation/early-stop engine.
 
-    step_fn(state, positives) -> LossBreakdown performs one optimization
-    step; the engine owns batching, logging, validation, snapshots, and
-    early stopping.
+    step_fn(state, positives) -> (LossBreakdown, GradBuffer) computes one
+    step's loss and gradients; the engine applies them (train_step) and owns
+    batching, logging, validation, snapshots, and early stopping.
     """
     train = dataset.train
     if len(train) == 0:
@@ -231,7 +240,7 @@ def run_training_loop(dataset: Dataset, cfg: TrainConfig, state: TrainState, ste
         stats = _EpochStats()
         for start in range(0, len(train), cfg.batch_size):
             batch = train[perm[start : start + cfg.batch_size]]
-            stats.add(step_fn(state, batch))
+            stats.add(train_step(state, batch, step_fn))
         epochs_run = epoch
         clamped_total += stats.clamped
         record = {"epoch": epoch, "lr": lr_epoch, "loss": stats.record(),
@@ -304,6 +313,6 @@ def train_med(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
     def run(lr: float) -> TrainResult:
         state = init_state(dataset, cfg, lr)
-        return run_training_loop(dataset, cfg, state, train_step)
+        return run_training_loop(dataset, cfg, state, med_step)
 
     return run_with_lr_policy(dataset, cfg, run)

@@ -407,6 +407,7 @@ def _median(grid, key):
     return statistics.median(r[key] for r in grid["rows"])
 
 
+@pytest.mark.slow
 def test_criterion_5_small_scale_med_effect(comparison_grid):
     med8 = _median(comparison_grid, "med8")
     ext8 = _median(comparison_grid, "ext8")
@@ -427,6 +428,7 @@ def test_criterion_5_small_scale_med_effect(comparison_grid):
     assert c, f"retention {arr_med:.4f} < extracted pipeline {arr_ext:.4f}"
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_directionality(comparison_grid):
     med8 = _median(comparison_grid, "med8")
     nomlm8 = _median(comparison_grid, "nomlm8")

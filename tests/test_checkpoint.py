@@ -155,3 +155,23 @@ def test_norm_preserved(tmp_path):
     m = rand_model("transe", dims=(2,), norm="l1", dtype=np.float32)
     loaded, _ = roundtrip(tmp_path, m)
     assert loaded.score_fn.norm == "l1"
+
+
+def _with_schedule_bytes(raw: bytes, n: int, dims: tuple[int, ...]) -> bytes:
+    """Checkpoint bytes with the header's n and dims replaced."""
+    (old_n,) = struct.unpack_from("<H", raw, 8)
+    head = raw[:8] + struct.pack("<H", n) + struct.pack(f"<{len(dims)}I", *dims)
+    return head + raw[10 + 4 * old_n :]
+
+
+def test_empty_or_bad_schedule_header_rejected(tmp_path):
+    m = rand_model("transe", dims=(2, 4), dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    raw = path.read_bytes()
+    path.write_bytes(_with_schedule_bytes(raw, 0, ()))
+    with pytest.raises(ValueError, match="n=0"):
+        load_checkpoint(path)
+    path.write_bytes(_with_schedule_bytes(raw, 2, (4, 2)))
+    with pytest.raises(ValueError, match="bad checkpoint header.*strictly increasing"):
+        load_checkpoint(path)

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from cropkge.checkpoint import load_checkpoint
+from cropkge.checkpoint import load_checkpoint, save_checkpoint
 from cropkge.cli import main, parse_config_file, parse_dims
 from cropkge.synth import generate
+
+from conftest import rand_model
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +208,22 @@ def test_version_smoke():
     )
     assert proc.returncode == 0
     assert "cropkge" in proc.stdout
+
+
+def test_crop_of_empty_schedule_checkpoint_is_one_line_error(tmp_path):
+    m = rand_model("transe", dims=(2, 4), dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    raw = path.read_bytes()
+    # n=0 and no dims bytes: the rest of the file is left as it was
+    path.write_bytes(raw[:8] + b"\x00\x00" + raw[10 + 4 * m.n :])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cropkge.cli", "crop", "--checkpoint", str(path),
+         "--dim", "2", "--out", str(tmp_path / "small.ckpt")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("error:") and "n=0" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "small.ckpt").exists()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cropkge.data import build_filter_index, make_dataset
+from cropkge.data import build_filter_index, load_dataset, make_dataset, resolve_dataset
 from cropkge.evaluate import (
     arr,
     emit_report,
@@ -15,7 +15,7 @@ from cropkge.evaluate import (
     retention_value,
     write_arr_matrix,
 )
-from cropkge.model import ScoreFunction, param_count_for
+from cropkge.model import ScoreFunction, init_model, param_count_for
 from cropkge.scoring import batch_score
 
 from conftest import rand_dataset, rand_model
@@ -228,3 +228,25 @@ def test_filtered_rank_never_exceeds_unfiltered(rng):
         scores = batch_score(m, m.n, np.array([[h, r, c] for c in range(10)]))
         unfiltered = sort_rank_oracle(scores, scores[t])
         assert rank_triple(m, m.n, trip, ds, side="tail") <= unfiltered
+
+
+def test_non_finite_gold_score_raises_naming_the_dim():
+    ds = load_dataset(resolve_dataset("synth"))
+    m = init_model(ScoreFunction("transe"), (8, 16), ds.num_entities, ds.num_relations,
+                   np.random.default_rng(0))
+    m.tables["entity"][:] = np.nan
+    with pytest.raises(ValueError, match="non-finite gold score.*dim 8"):
+        link_prediction(m, 1, ds, split="test")
+
+
+def test_nan_candidates_keep_rank_in_bounds():
+    ds = rand_dataset(seed=37)
+    m = rand_model("transe", num_entities=ds.num_entities, num_relations=ds.num_relations, seed=3)
+    trip = ds.test[0]
+    h, r, t = (int(x) for x in trip)
+    others = [e for e in range(ds.num_entities) if e not in (h, t)]
+    m.tables["entity"][others[:3]] = np.nan
+    for side, known in (("tail", ds.filter.tails(h, r)), ("head", ds.filter.heads(r, t))):
+        kept = ds.num_entities - len(set(known.tolist()) - {h if side == "head" else t})
+        rank = rank_triple(m, m.n, trip, ds, side=side)
+        assert 1.0 <= rank <= kept

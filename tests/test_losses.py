@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cropkge import losses
 from cropkge.data import sample_negatives
 from cropkge.losses import (
     GradBuffer,
@@ -13,10 +14,12 @@ from cropkge.losses import (
     huber_grad,
     kge_loss,
     mutual_learning_loss,
+    segment_sum,
     sigmoid,
     softplus,
     total_loss,
 )
+from cropkge.model import NORMS, SCORE_KINDS
 from cropkge.scoring import batch_score
 
 from conftest import rand_batch, rand_model
@@ -361,15 +364,9 @@ def test_gradbuffer_pads_widths_and_merges():
     ids, acc = buf.finalized()["entity"]
     np.testing.assert_allclose(acc, [[3.0, 3.0]])
 
-    other = GradBuffer()
-    other.add("entity", np.array([0]), np.array([[4.0, 4.0]]))
-    other.add_scalar("w1", 2.0)
-    other.clamped = 3
-    buf.merge(other, scale=0.5)
+    buf.add("entity", np.array([0]), np.array([[4.0, 4.0]]))
     dense = buf.dense({"entity": (3, 2)})
-    np.testing.assert_allclose(dense["entity"], [[2.0, 2.0], [3.0, 3.0], [0.0, 0.0]])
-    assert buf.w["w1"] == pytest.approx(1.0)
-    assert buf.clamped == 3
+    np.testing.assert_allclose(dense["entity"], [[4.0, 4.0], [3.0, 3.0], [0.0, 0.0]])
 
 
 def test_loss_breakdown_finite_flags_nan():
@@ -390,3 +387,112 @@ def test_ei_loss_raw_mode_counts_clamped(rng):
     pos, neg = rand_batch(rng, m, batch=3, k=2)
     _, buf = ei_loss(m, 2, pos, neg, mode="raw")
     assert buf.clamped == len(pos) + 3 * 2
+
+
+def reference_total_loss(m, index, pos, neg, no_mlm, no_eim, no_dlw, ei_mode, pair_mode):
+    """total_loss composed from the one-pass-per-term reference losses."""
+    shapes = shapes_of(m)
+    dense = {name: np.zeros(shape) for name, shape in shapes.items()}
+    rows = {name: set() for name in shapes}
+    w = {"w1": 0.0, "w2": 0.0, "w3": 0.0}
+    ei, lambdas, clamped, total = {}, {}, 0, 0.0
+    terms = []
+    for idx in [index] + ([index - 1] if pair_mode == "pair" and index >= 2 else []):
+        value, buf = ei_loss(m, idx, pos, neg, mode=ei_mode, force_uniform=no_eim)
+        ratio = m.dims[idx - 1] / m.dim
+        lam = 1.0 if no_dlw else float(np.exp(m.w3 * ratio))
+        dlam = 0.0 if no_dlw else ratio * lam
+        terms.append((lam, buf))
+        w["w1"] += lam * buf.w["w1"]
+        w["w2"] += lam * buf.w["w2"]
+        w["w3"] += dlam * value
+        clamped += buf.clamped
+        ei[idx], lambdas[idx] = value, lam
+        total += lam * value
+    ml = None
+    if index >= 2 and not no_mlm:
+        ml, buf = mutual_learning_loss(m, index, pos, neg)
+        terms.append((1.0, buf))
+        total += ml
+    for scale, buf in terms:
+        for name, (ids, _) in buf.finalized().items():
+            rows[name].update(ids.tolist())
+        for name, g in buf.dense(shapes).items():
+            dense[name] += scale * g
+    return LossBreakdown(index=index, total=total, ei=ei, ml=ml, lambdas=lambdas, clamped=clamped), dense, rows, w
+
+
+ABLATIONS = ({}, {"no_mlm": True}, {"no_eim": True}, {"no_dlw": True})
+
+
+@pytest.mark.parametrize("ei_mode", ["sigmoid", "raw"])
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=["full", "noMLM", "noEIM", "noDLW"])
+@pytest.mark.parametrize("pair_mode", ["single", "pair"])
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_one_pass_total_loss_matches_reference_terms(kind, norm, pair_mode, ablation, ei_mode):
+    rng = np.random.default_rng(500 + SCORE_KINDS.index(kind))
+    m = rand_model(kind, dims=(3, 8, 20), num_entities=8, num_relations=3, seed=71, norm=norm)
+    m.w1, m.w2, m.w3 = 0.7, 1.3, 0.6
+    pos, neg = rand_batch(rng, m, batch=6, k=4)
+    # entity rows 0, 1 and relation row 0 are zero, so triple (0, 0, 1)
+    # scores exactly 0 at every width and raw mode has something to clamp
+    for name, table in m.tables.items():
+        table[: 2 if m.rows_of(name) == m.num_entities else 1] = 0.0
+    pos[0] = (0, 0, 1)
+    flags = {"no_mlm": False, "no_eim": False, "no_dlw": False, **ablation}
+    for index in range(1, m.n + 1):
+        got, buf = total_loss(m, index, pos, neg, ei_mode=ei_mode, pair_mode=pair_mode, **flags)
+        want, dense, rows, w = reference_total_loss(m, index, pos, neg, ei_mode=ei_mode,
+                                                    pair_mode=pair_mode, **flags)
+        assert got == want  # every breakdown value bitwise
+        assert buf.clamped == want.clamped
+        if ei_mode == "raw" and index >= 2 and not flags["no_eim"]:
+            assert want.clamped > 0
+        assert buf.w == w
+        finals = buf.finalized()
+        assert {name: set(ids.tolist()) for name, (ids, _) in finals.items()} == rows
+        got_dense = buf.dense(shapes_of(m))
+        for name in m.tables:
+            # the summation order differs, so an entry that cancels to well
+            # below the table's scale keeps only an absolute agreement
+            scale = np.abs(dense[name]).max()
+            np.testing.assert_allclose(got_dense[name], dense[name], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_total_loss_gathers_once_and_scatters_once_per_table(rng, monkeypatch):
+    m = rand_model("rotate", dims=(2, 3, 5), seed=72)
+    pos, neg = rand_batch(rng, m, batch=4, k=3)
+    calls = []
+
+    def counting_gather(*args, **kwargs):
+        calls.append(args[1])
+        return gather(*args, **kwargs)
+
+    gather = losses.gather_slots
+    monkeypatch.setattr(losses, "gather_slots", counting_gather)
+    _, buf = total_loss(m, 3, pos, neg, pair_mode="pair")
+    assert calls == [3]
+    n = len(pos) * 4
+    # one block per slot, each covering the whole batch once
+    assert {t: [len(ids) for ids, _ in c] for t, c in buf._contribs.items()} == {
+        "entity_re": [n, n], "entity_im": [n, n], "relation_phase": [n]}
+
+
+def test_segment_sum_matches_add_at_and_repeats_bytes():
+    rng = np.random.default_rng(73)
+    contribs = [
+        (rng.integers(0, 9, size=500), rng.normal(size=(500, 7))),
+        (rng.integers(3, 12, size=300), rng.normal(size=(300, 4))),  # narrower block
+        (rng.integers(0, 12, size=200), rng.normal(size=(200, 7))),
+    ]
+    uids, sums = segment_sum(contribs)
+    want_ids = np.unique(np.concatenate([ids for ids, _ in contribs]))
+    np.testing.assert_array_equal(uids, want_ids)
+    ref = np.zeros((12, 7))
+    for ids, block in contribs:
+        np.add.at(ref[:, : block.shape[1]], ids, block)
+    np.testing.assert_allclose(sums, ref[want_ids], rtol=1e-12, atol=1e-12)
+    again_ids, again = segment_sum([(ids.copy(), block.copy()) for ids, block in contribs])
+    assert again_ids.tobytes() == uids.tobytes()
+    assert again.tobytes() == sums.tobytes()
