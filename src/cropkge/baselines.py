@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import Dataset, sample_negatives
 from .losses import GradBuffer, LossBreakdown, PrefixBatch, class_mean_bce, kge_loss
 from .model import CroppableModel, reorder_dimensions, with_schedule
@@ -72,7 +73,7 @@ def importance_by_loss(model: CroppableModel, dataset: Dataset) -> ImportanceVec
 
 def write_importance(vec: ImportanceVector, path: str | Path) -> None:
     """Persist as TSV `column<TAB>score` (full float precision)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# method: {vec.method}\n")
         for j, s in enumerate(vec.scores):
             fh.write(f"{j}\t{float(s)!r}\n")
@@ -121,6 +122,7 @@ def bkd_loss(
     teacher: CroppableModel,
     positives: np.ndarray,
     negatives,
+    *,
     temperature: float = 1.0,
     alpha: float = 0.5,
 ) -> tuple[LossBreakdown, GradBuffer]:
@@ -162,17 +164,20 @@ def distill_bkd(
     dataset: Dataset,
     student_dim: int,
     cfg: TrainConfig,
-    temperature: float = 1.0,
-    alpha: float = 0.5,
+    **loss_options,
 ) -> TrainResult:
-    """Train a fresh student of width student_dim against a frozen teacher."""
+    """Train a fresh student of width student_dim against a frozen teacher.
+
+    loss_options (temperature, alpha) go to bkd_loss, which holds their
+    defaults.
+    """
     if not 1 <= student_dim <= teacher.dim:
         raise ValueError(f"student dim {student_dim} out of range 1..{teacher.dim}")
     scfg = replace(cfg, score_fn=teacher.score_fn, dims=(int(student_dim),), probe_dims=None)
 
     def step(state: TrainState, positives: np.ndarray) -> tuple[LossBreakdown, GradBuffer]:
         negatives = sample_negatives(positives, scfg.neg_per_pos, state.num_entities, state.rng)
-        return bkd_loss(state.model, teacher, positives, negatives, temperature=temperature, alpha=alpha)
+        return bkd_loss(state.model, teacher, positives, negatives, **loss_options)
 
     def run(lr: float) -> TrainResult:
         state = init_state(dataset, scfg, lr)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .model import LAYOUTS, NORMS, SCORE_KINDS, CroppableModel, ScoreFunction, check_schedule
 
 MAGIC = b"CKGE"
@@ -37,7 +38,7 @@ def save_checkpoint(model: CroppableModel, path: str | Path) -> None:
                 f"checkpoint tables must be float32, table {name!r} is {table.dtype}"
             )
     names = model.table_names()
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HBBH", VERSION, _KIND_ID[model.score_fn.kind],
                              _NORM_ID[model.score_fn.norm], model.n))

@@ -14,10 +14,16 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
+from .atomic import atomic_write, write_json
 from .baselines import (
+    bkd_loss,
     distill_bkd,
     importance_by_loss,
     importance_by_value,
@@ -27,10 +33,12 @@ from .baselines import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SPLIT_FILES, load_dataset, resolve_dataset, write_stats
 from .evaluate import arr, emit_report, link_prediction, write_arr_matrix
-from .model import ScoreFunction, crop_model, param_count, reorder_dimensions, with_schedule
+from .losses import EI_MODES, PAIR_MODES
+from .model import NORMS, SCORE_KINDS, ScoreFunction, crop_model, param_count, reorder_dimensions, with_schedule
 from .train import TrainConfig, train_med
 
-ABLATION_FLAGS = ("noMLM", "noEIM", "noDLW")
+# ablation flag -> the TrainConfig switch it sets
+ABLATIONS = {"noMLM": "no_mlm", "noEIM": "no_eim", "noDLW": "no_dlw"}
 
 
 def parse_dims(spec: str) -> tuple[int, ...]:
@@ -85,20 +93,26 @@ def dataset_checksum(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path: Path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _first_line(exc: BaseException) -> str:
+    return str(exc).splitlines()[0] if str(exc) else exc.__class__.__name__
 
 
-def _merged(args: argparse.Namespace, config: dict[str, str], key: str, default, cast):
-    """CLI flag wins over config file wins over default."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return cast(config[key])
-    return default
+@contextmanager
+def recorded_run(path: Path, manifest: dict):
+    """Write `manifest` to `path` as "running"; when the block ends, rewrite
+    it as "ok" with the wall time, or as "failed" with the error's first
+    line (the error still propagates)."""
+    manifest["status"] = "running"
+    write_json(path, manifest)
+    t0 = time.monotonic()
+    try:
+        yield
+    except BaseException as exc:
+        manifest.update(status="failed", error=_first_line(exc))
+        write_json(path, manifest)
+        raise
+    manifest.update(status="ok", wall_clock_sec=round(time.monotonic() - t0, 3))
+    write_json(path, manifest)
 
 
 def _parse_lr(text: str):
@@ -108,159 +122,172 @@ def _parse_lr(text: str):
 def _parse_ablate(text: str) -> tuple[str, ...]:
     flags = tuple(f for f in (p.strip() for p in text.split(",")) if f)
     for f in flags:
-        if f not in ABLATION_FLAGS:
-            raise ValueError(f"unknown ablation flag {f!r}; expected subset of {ABLATION_FLAGS}")
+        if f not in ABLATIONS:
+            raise ValueError(f"unknown ablation flag {f!r}; expected subset of {tuple(ABLATIONS)}")
     return flags
 
 
-def _build_train_config(args) -> tuple[TrainConfig, dict]:
-    config_file = parse_config_file(args.config) if args.config else {}
-    get = lambda key, default, cast: _merged(args, config_file, key, default, cast)
+@dataclass(frozen=True)
+class Setting:
+    """One `train` setting: flag `--name` (with dashes), config-file and
+    manifest key `name`. `field` is the TrainConfig field it sets, or
+    `score_fn.<f>` / `bkd_loss.<option>`; cmd_train reads the rest itself.
+    A setting given nowhere is not passed on, so its default lives there."""
 
-    method = get("method", "med", str)
-    if method not in ("med", "dt", "bkd"):
-        raise ValueError(f"unknown method {method!r}; expected med, dt, or bkd")
-    dims_spec = get("dims", None, str)
-    if dims_spec is None:
+    name: str
+    parse: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    field: str | None = None
+
+    def value(self, text: str, where: str):
+        """`text` parsed; a bad value is a ValueError naming `where`."""
+        if self.choices and text not in self.choices:
+            raise ValueError(f"{where}: {text!r} is not one of {', '.join(self.choices)}")
+        try:
+            return self.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+
+TRAIN_SETTINGS = {s.name: s for s in (
+    Setting("method", choices=("med", "dt", "bkd")),
+    Setting("score_fn", choices=SCORE_KINDS, field="score_fn.kind"),
+    Setting("norm", choices=NORMS, field="score_fn.norm"),
+    Setting("dims", parse_dims, help="start:stop:step, comma list, or single value", field="dims"),
+    Setting("lr", _parse_lr, help="learning rate, or `search`", field="lr"),
+    Setting("batch_size", int, field="batch_size"),
+    Setting("neg_per_pos", int, field="neg_per_pos"),
+    Setting("epochs", int, field="max_epochs"),
+    Setting("seed", int, field="seed"),
+    Setting("ablate", _parse_ablate, help="comma subset of noMLM,noEIM,noDLW"),
+    Setting("ei_input", choices=EI_MODES, field="ei_mode"),
+    Setting("pair_mode", choices=PAIR_MODES, field="pair_mode"),
+    Setting("validate_every", int, field="validate_every"),
+    Setting("patience", int, field="patience"),
+    Setting("probe_dims", parse_dims, field="probe_dims"),
+    Setting("threads", int, help="evaluation threads during validation", field="eval_threads"),
+    Setting("teacher", help="teacher checkpoint for --method bkd"),
+    Setting("temperature", float, field="bkd_loss.temperature"),
+    Setting("alpha", float, field="bkd_loss.alpha"),
+    Setting("init_range", float, field="init_range"),
+)}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _given_settings(args) -> dict[str, object]:
+    """The train settings set by flag or config file (a flag beats the file).
+
+    An unknown file key is a ValueError naming the file and the key.
+    """
+    given = {}
+    if args.config:
+        for key, text in parse_config_file(args.config).items():
+            if key not in TRAIN_SETTINGS:
+                raise ValueError(f"{args.config}: unknown key {key!r}")
+            given[key] = TRAIN_SETTINGS[key].value(text, f"{args.config}: key {key!r}")
+    for name, setting in TRAIN_SETTINGS.items():
+        if getattr(args, name) is not None:
+            given[name] = setting.value(getattr(args, name), _flag(name))
+    return given
+
+
+def _train_config(given: dict) -> tuple[TrainConfig, dict]:
+    """The TrainConfig and the bkd_loss options the given settings feed."""
+    if "dims" not in given:
         raise ValueError("--dims is required (flag or config file)")
-    dims = parse_dims(dims_spec) if isinstance(dims_spec, str) else dims_spec
-    score_fn = ScoreFunction(kind=get("score_fn", "transe", str), norm=get("norm", "l2", str))
-    ablate = get("ablate", (), _parse_ablate)
-    if isinstance(ablate, str):
-        ablate = _parse_ablate(ablate)
-    probe = get("probe_dims", None, parse_dims)
-    cfg = TrainConfig(
-        score_fn=score_fn,
-        dims=dims,
-        batch_size=get("batch_size", 1024, int),
-        neg_per_pos=get("neg_per_pos", 64, int),
-        max_epochs=get("max_epochs", 3000, int),
-        lr=get("lr", None, _parse_lr),
-        validate_every=get("validate_every", 10, int),
-        patience=get("patience", 5, int),
-        probe_dims=probe,
-        seed=get("seed", 42, int),
-        no_mlm="noMLM" in ablate,
-        no_eim="noEIM" in ablate,
-        no_dlw="noDLW" in ablate,
-        ei_mode=get("ei_input", "sigmoid", str),
-        pair_mode=get("pair_mode", "single", str),
-        eval_threads=get("threads", 1, int),
-        init_range=get("init_range", None, float),
+    routed = {"": {}, "score_fn": {}, "bkd_loss": {}}  # "": TrainConfig's own fields
+    for name, value in given.items():
+        if TRAIN_SETTINGS[name].field:
+            owner, _, field = TRAIN_SETTINGS[name].field.rpartition(".")
+            routed[owner][field] = value
+    if "ablate" in given:
+        routed[""].update({field: flag in given["ablate"] for flag, field in ABLATIONS.items()})
+    cfg = TrainConfig(score_fn=ScoreFunction(**routed["score_fn"]), **routed[""])
+    return cfg, routed["bkd_loss"]
+
+
+def _config_block(cfg: TrainConfig, given: dict, bkd_options: dict) -> dict:
+    """The manifest's `config`: the resolved value of every setting."""
+    block = {name: attrgetter(s.field)(cfg) for name, s in TRAIN_SETTINGS.items()
+             if s.field and not s.field.startswith("bkd_loss.")}
+    block.update(bkd_loss.__kwdefaults__, **bkd_options)  # bkd_loss holds the option defaults
+    block.update(
+        method=given["method"],
+        probe_dims=cfg.resolved_probe_dims(),
+        ablate=[flag for flag, field in ABLATIONS.items() if getattr(cfg, field)],
     )
-    extra = {
-        "method": method,
-        "teacher": get("teacher", None, str),
-        "temperature": get("temperature", 1.0, float),
-        "alpha": get("alpha", 0.5, float),
-    }
-    return cfg, extra
-
-
-def _config_snapshot(cfg: TrainConfig, extra: dict) -> dict:
-    snap = {
-        "score_fn": cfg.score_fn.kind,
-        "norm": cfg.score_fn.norm,
-        "dims": list(cfg.dims),
-        "batch_size": cfg.batch_size,
-        "neg_per_pos": cfg.neg_per_pos,
-        "max_epochs": cfg.max_epochs,
-        "lr": cfg.lr,
-        "validate_every": cfg.validate_every,
-        "patience": cfg.patience,
-        "probe_dims": list(cfg.resolved_probe_dims()),
-        "seed": cfg.seed,
-        "ablate": [
-            f for f, on in zip(ABLATION_FLAGS, (cfg.no_mlm, cfg.no_eim, cfg.no_dlw)) if on
-        ],
-        "ei_input": cfg.ei_mode,
-        "pair_mode": cfg.pair_mode,
-        "threads": cfg.eval_threads,
-        "init_range": cfg.init_range,
-    }
-    snap.update({k: v for k, v in extra.items() if k != "teacher" or v is not None})
-    return snap
+    if "teacher" in given:
+        block["teacher"] = given["teacher"]
+    return block
 
 
 def cmd_train(args) -> int:
+    given = _given_settings(args)
+    method = given.setdefault("method", "med")
+    cfg, bkd_options = _train_config(given)
+    if method in ("dt", "bkd") and len(cfg.dims) != 1:
+        raise ValueError(f"--method {method} needs exactly one dimension in --dims")
+    if method == "bkd" and "teacher" not in given:
+        raise ValueError("--method bkd requires --teacher CHECKPOINT")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, extra = _build_train_config(args)
     dataset_dir = resolve_dataset(args.dataset)
     dataset = load_dataset(dataset_dir)
 
-    if extra["method"] == "dt" and len(cfg.dims) != 1:
-        raise ValueError("--method dt needs exactly one dimension in --dims")
-    if extra["method"] == "bkd":
-        if len(cfg.dims) != 1:
-            raise ValueError("--method bkd needs exactly one dimension in --dims")
-        if not extra["teacher"]:
-            raise ValueError("--method bkd requires --teacher CHECKPOINT")
-
-    manifest_path = out / "manifest.json"
     manifest = {
         "command": "train",
         "version": __version__,
         "seed": cfg.seed,
-        "config": _config_snapshot(cfg, extra),
+        "config": _config_block(cfg, given, bkd_options),
         "dataset": {"path": str(dataset_dir), "sha256": dataset_checksum(dataset_dir),
                     "stats": dataset.stats()},
         "outputs": {"checkpoint": "model.ckpt", "log": "train_log.jsonl"},
-        "status": "running",
     }
-    write_manifest(manifest_path, manifest)
-    t0 = time.monotonic()
-
-    if extra["method"] == "med":
-        result = train_med(dataset, cfg)
-    elif extra["method"] == "dt":
-        result = train_dt(dataset, cfg.dims[0], cfg)
-    else:
-        teacher = load_checkpoint(extra["teacher"])
-        result = distill_bkd(
-            teacher, dataset, cfg.dims[0], cfg,
-            temperature=extra["temperature"], alpha=extra["alpha"],
-        )
-
-    save_checkpoint(result.model, out / "model.ckpt")
-    with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
-        for record in result.log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    manifest["status"] = "ok"
-    manifest["wall_clock_sec"] = round(time.monotonic() - t0, 3)
-    manifest["result"] = {
-        "lr": result.lr,
-        "lr_search": result.lr_search,
-        "epochs_run": result.epochs_run,
-        "stopped_early": result.stopped_early,
-        "best_epoch": result.best_epoch,
-        "best_probe_mrr": result.best_probe_mrr,
-        "clamped_teacher_scores": result.clamped,
-    }
-    write_manifest(manifest_path, manifest)
+    with recorded_run(out / "manifest.json", manifest):
+        if method == "med":
+            result = train_med(dataset, cfg)
+        elif method == "dt":
+            result = train_dt(dataset, cfg.dims[0], cfg)
+        else:
+            teacher = load_checkpoint(given["teacher"])
+            result = distill_bkd(teacher, dataset, cfg.dims[0], cfg, **bkd_options)
+        save_checkpoint(result.model, out / "model.ckpt")
+        with atomic_write(out / "train_log.jsonl") as fh:
+            for record in result.log:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        manifest["result"] = {
+            "lr": result.lr,
+            "lr_search": result.lr_search,
+            "epochs_run": result.epochs_run,
+            "stopped_early": result.stopped_early,
+            "best_epoch": result.best_epoch,
+            "best_probe_mrr": result.best_probe_mrr,
+            "clamped_teacher_scores": result.clamped,
+        }
     best = "none" if result.best_probe_mrr is None else f"{result.best_probe_mrr:.4f}"
-    print(f"trained {extra['method']} dims={list(cfg.dims)} lr={result.lr} "
+    print(f"trained {method} dims={list(cfg.dims)} lr={result.lr} "
           f"epochs={result.epochs_run} best_probe_mrr={best}")
     print(f"wrote {out / 'model.ckpt'}")
     return 0
 
 
 def cmd_crop(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    cropped = crop_model(model, args.dim)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(cropped, out)
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), {
+    out.parent.mkdir(parents=True, exist_ok=True)
+    manifest = {
         "command": "crop",
         "version": __version__,
         "checkpoint": str(args.checkpoint),
         "dim": args.dim,
         "outputs": {"checkpoint": str(out)},
-        "status": "ok",
-    })
+    }
+    with recorded_run(out.with_suffix(out.suffix + ".manifest.json"), manifest):
+        cropped = crop_model(load_checkpoint(args.checkpoint), args.dim)
+        save_checkpoint(cropped, out)
     print(f"cropped to dim={args.dim}, params={param_count(cropped)}")
     print(f"wrote {out}")
     return 0
@@ -282,7 +309,6 @@ def cmd_eval(args) -> int:
         model = with_schedule(model, dims)
     threads = args.threads if args.threads else (os.cpu_count() or 1)
 
-    manifest_path = out / "manifest.json"
     manifest = {
         "command": "eval",
         "version": __version__,
@@ -293,37 +319,28 @@ def cmd_eval(args) -> int:
         "dims": list(model.dims),
         "arr": bool(args.arr),
         "outputs": {"csv": "report.csv", "json": "report.json"},
-        "status": "running",
     }
-    write_manifest(manifest_path, manifest)
-    t0 = time.monotonic()
-
-    reports = [
-        link_prediction(model, i, dataset, split=args.split, threads=threads)
-        for i in range(1, model.n + 1)
-    ]
-    emit_report(reports, out / "report.csv", fmt="csv")
-    emit_report(reports, out / "report.json", fmt="json")
-
-    if args.arr:
-        result = arr(model, dataset, split=args.split, threads=threads,
-                     include_vacuous=args.arr_include_vacuous)
-        with open(out / "arr.json", "w", encoding="utf-8") as fh:
-            json.dump({
+    with recorded_run(out / "manifest.json", manifest):
+        reports = [
+            link_prediction(model, i, dataset, split=args.split, threads=threads)
+            for i in range(1, model.n + 1)
+        ]
+        emit_report(reports, out / "report.csv", fmt="csv")
+        emit_report(reports, out / "report.json", fmt="json")
+        if args.arr:
+            result = arr(model, dataset, split=args.split, threads=threads,
+                         include_vacuous=args.arr_include_vacuous)
+            write_json(out / "arr.json", {
                 "arr": result.value,
                 "dims": list(result.dims),
                 "num_with_correct": result.num_with_correct,
                 "include_vacuous": result.include_vacuous,
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_arr_matrix(result, out / "arr_matrix.tsv")
-        manifest["outputs"]["arr"] = "arr.json"
-        manifest["outputs"]["arr_matrix"] = "arr_matrix.tsv"
-        print(f"arr={result.value:.4f} over dims={list(result.dims)}")
+            })
+            write_arr_matrix(result, out / "arr_matrix.tsv")
+            manifest["outputs"]["arr"] = "arr.json"
+            manifest["outputs"]["arr_matrix"] = "arr_matrix.tsv"
+            print(f"arr={result.value:.4f} over dims={list(result.dims)}")
 
-    manifest["status"] = "ok"
-    manifest["wall_clock_sec"] = round(time.monotonic() - t0, 3)
-    write_manifest(manifest_path, manifest)
     for report in reports:
         print(f"dim={report.dim} mrr={report.mrr:.4f} hit10={report.hit_at[10]:.4f} "
               f"params={report.param_count}")
@@ -332,31 +349,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    if args.mode == "loss" and not args.dataset:
+        raise ValueError("--mode loss requires --dataset (validation split)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = load_checkpoint(args.checkpoint)
-    if args.mode == "value":
-        vec = importance_by_value(model)
-    else:
-        if not args.dataset:
-            raise ValueError("--mode loss requires --dataset (validation split)")
-        dataset = load_dataset(resolve_dataset(args.dataset))
-        vec = importance_by_loss(model, dataset)
-    write_importance(vec, out / "importance.tsv")
-    outputs = {"importance": "importance.tsv"}
-    if args.apply:
-        reordered = reorder_dimensions(model, vec.scores)
-        save_checkpoint(reordered, out / "reordered.ckpt")
-        outputs["checkpoint"] = "reordered.ckpt"
-        print(f"wrote {out / 'reordered.ckpt'}")
-    write_manifest(out / "manifest.json", {
+    manifest = {
         "command": "importance",
         "version": __version__,
         "checkpoint": str(args.checkpoint),
         "mode": args.mode,
-        "outputs": outputs,
-        "status": "ok",
-    })
+        "outputs": {"importance": "importance.tsv"},
+    }
+    with recorded_run(out / "manifest.json", manifest):
+        model = load_checkpoint(args.checkpoint)
+        if args.mode == "value":
+            vec = importance_by_value(model)
+        else:
+            vec = importance_by_loss(model, load_dataset(resolve_dataset(args.dataset)))
+        write_importance(vec, out / "importance.tsv")
+        if args.apply:
+            reordered = reorder_dimensions(model, vec.scores)
+            save_checkpoint(reordered, out / "reordered.ckpt")
+            manifest["outputs"]["checkpoint"] = "reordered.ckpt"
+            print(f"wrote {out / 'reordered.ckpt'}")
     print(f"wrote {out / 'importance.tsv'}")
     return 0
 
@@ -379,7 +394,7 @@ def cmd_dump(args) -> int:
     if not 1 <= d <= model.dim:
         raise ValueError(f"dump dim {d} out of range 1..{model.dim}")
     table = model.tables[args.table][:, :d]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         for row_id, row in enumerate(table):
             values = "\t".join(repr(float(v)) for v in row)
             fh.write(f"{row_id}\t{values}\n")
@@ -399,26 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset directory or name")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--method", choices=["med", "dt", "bkd"])
-    p.add_argument("--score-fn", dest="score_fn", choices=["transe", "simple", "rotate", "pairre"])
-    p.add_argument("--norm", choices=["l2", "l1"])
-    p.add_argument("--dims", help="start:stop:step, comma list, or single value")
-    p.add_argument("--lr", type=_parse_lr, default=None, help="learning rate, or `search`")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--neg-per-pos", dest="neg_per_pos", type=int)
-    p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ablate", type=_parse_ablate, help="comma subset of noMLM,noEIM,noDLW")
-    p.add_argument("--ei-input", dest="ei_input", choices=["sigmoid", "raw"])
-    p.add_argument("--pair-mode", dest="pair_mode", choices=["single", "pair"])
-    p.add_argument("--validate-every", dest="validate_every", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--probe-dims", dest="probe_dims")
-    p.add_argument("--threads", type=int, help="evaluation threads during validation")
-    p.add_argument("--teacher", help="teacher checkpoint for --method bkd")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--init-range", dest="init_range", type=float)
+    for setting in TRAIN_SETTINGS.values():
+        p.add_argument(_flag(setting.name), choices=setting.choices, help=setting.help)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("crop", help="crop a checkpoint to a schedule dimension")
@@ -468,8 +465,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
-        message = str(exc).splitlines()[0] if str(exc) else exc.__class__.__name__
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_first_line(exc)}", file=sys.stderr)
         return 1
 
 

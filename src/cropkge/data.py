@@ -9,12 +9,13 @@ vocabulary (transductive link prediction).
 from __future__ import annotations
 
 import importlib.resources
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import write_json
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 SPLIT_NAMES = ("train", "valid", "test")
@@ -231,9 +232,7 @@ def resolve_dataset(name_or_path: str) -> Path:
 
 def write_stats(dataset: Dataset, path: str | Path) -> None:
     """Dump dataset statistics as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset.stats(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dataset.stats())
 
 
 @dataclass

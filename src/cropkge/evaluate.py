@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import Dataset
 from .model import CroppableModel, param_count
 from .scoring import one_vs_all_scores, prefix_tables64
@@ -218,7 +219,7 @@ def arr(
 
 def write_arr_matrix(result: ArrResult, path: str | Path) -> None:
     """Correctness matrix as TSV lines `triple_index<TAB>bitvector`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("# dims: " + ",".join(str(d) for d in result.dims) + "\n")
         for j, row in enumerate(result.matrix):
             bits = "".join("1" if b else "0" for b in row)
@@ -247,7 +248,6 @@ def emit_report(reports, path: str | Path, fmt: str = "csv") -> None:
     if not reports:
         raise ValueError("no reports to emit")
     rows = [_report_row(r) for r in reports]
-    path = Path(path)
     if fmt == "csv":
         lines = ["dim,params,mrr,hit1,hit3,hit10,effi"]
         for row in rows:
@@ -255,8 +255,10 @@ def emit_report(reports, path: str | Path, fmt: str = "csv") -> None:
                 f"{row['dim']},{row['params']},{row['mrr']:.6g},{row['hit1']:.6g},"
                 f"{row['hit3']:.6g},{row['hit10']:.6g},{row['effi']:.6g}"
             )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    with atomic_write(path) as fh:
+        fh.write(text)

@@ -35,6 +35,8 @@ from .model import CroppableModel
 from .scoring import _backward, _forward, _scores, _vjp, batch_score, batch_score_grad, gather_slots
 
 RAW_EPS = 1e-6
+EI_MODES = ("sigmoid", "raw")  # teacher-score input g(s) of the EI weights
+PAIR_MODES = ("single", "pair")
 
 
 def softplus(x):
@@ -374,7 +376,7 @@ def total_loss(
     ei_loss/mutual_learning_loss bitwise; gradients agree up to summation
     order.
     """
-    if pair_mode not in ("single", "pair"):
+    if pair_mode not in PAIR_MODES:
         raise ValueError(f"unknown pair mode {pair_mode!r}")
     if not 1 <= index <= model.n:
         raise ValueError(f"sub-model index {index} out of range 1..{model.n}")

@@ -54,7 +54,7 @@ class ScoreFunction:
     The norm applies to transe/rotate/pairre; simple ignores it.
     """
 
-    kind: str
+    kind: str = "transe"
     norm: str = "l2"
 
     def __post_init__(self):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluate
 from .data import Dataset, sample_negatives
-from .losses import GradBuffer, LossBreakdown, total_loss
+from .losses import EI_MODES, PAIR_MODES, GradBuffer, LossBreakdown, total_loss
 from .model import CroppableModel, ScoreFunction, check_schedule, init_model
 from .optim import Adam, lr_schedule
 
@@ -45,8 +45,7 @@ class TrainConfig:
     batch_size: int = 1024
     neg_per_pos: int = 64
     max_epochs: int = 3000
-    lr: float | None = None  # None -> search over lr_candidates
-    lr_candidates: tuple[float, ...] = LR_CANDIDATES
+    lr: float | None = None  # None -> search over LR_CANDIDATES
     validate_every: int = 10
     patience: int = 5
     probe_dims: tuple[int, ...] | None = None  # None -> {d_1, d_mid, d_n}
@@ -70,6 +69,10 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.validate_every < 1 or self.patience < 1:
             raise ValueError("validate_every and patience must be >= 1")
+        if self.ei_mode not in EI_MODES:
+            raise ValueError(f"unknown ei_mode {self.ei_mode!r}; expected one of {EI_MODES}")
+        if self.pair_mode not in PAIR_MODES:
+            raise ValueError(f"unknown pair_mode {self.pair_mode!r}; expected one of {PAIR_MODES}")
         if self.probe_dims is not None:
             self.probe_dims = tuple(int(d) for d in self.probe_dims)
             if not set(self.probe_dims) <= set(self.dims):
@@ -284,7 +287,7 @@ def run_training_loop(dataset: Dataset, cfg: TrainConfig, state: TrainState, ste
 
 
 def run_with_lr_policy(dataset: Dataset, cfg: TrainConfig, run_fn) -> TrainResult:
-    """Honor an explicit cfg.lr, or search cfg.lr_candidates.
+    """Honor an explicit cfg.lr, or search LR_CANDIDATES.
 
     run_fn(lr) -> TrainResult trains one full run. The search keeps the
     candidate with the best validation probe MRR (first wins ties), so it
@@ -295,16 +298,16 @@ def run_with_lr_policy(dataset: Dataset, cfg: TrainConfig, run_fn) -> TrainResul
     if len(dataset.valid) == 0:
         raise ValueError("learning-rate search needs a validation split; set lr explicitly")
     results: dict[float, TrainResult] = {}
-    for lr in cfg.lr_candidates:
+    for lr in LR_CANDIDATES:
         results[lr] = run_fn(lr)
         if results[lr].best_probe_mrr is None:
             raise ValueError("learning-rate search requires validation epochs; lower validate_every")
     best_lr = None
-    for lr in cfg.lr_candidates:
+    for lr in LR_CANDIDATES:
         if best_lr is None or results[lr].best_probe_mrr > results[best_lr].best_probe_mrr:
             best_lr = lr
     chosen = results[best_lr]
-    chosen.lr_search = {lr: results[lr].best_probe_mrr for lr in cfg.lr_candidates}
+    chosen.lr_search = {lr: results[lr].best_probe_mrr for lr in LR_CANDIDATES}
     return chosen
 
 

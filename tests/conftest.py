@@ -7,6 +7,17 @@ from cropkge.model import SCORE_KINDS, CroppableModel, ScoreFunction, init_model
 
 ALL_KINDS = SCORE_KINDS
 
+# PASS/FAIL lines of the acceptance criteria, printed after the run so they
+# show in plain output, where pytest captures what a test prints
+CRITERION_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if CRITERION_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in CRITERION_LINES:
+            terminalreporter.write_line(line)
+
 
 def rand_model(
     kind: str,

@@ -5,7 +5,6 @@ grid (croppable, direct, and the two ablations, three seeds each) on the
 bundled synthetic dataset, single-threaded.
 """
 import statistics
-import sys
 import time
 
 import numpy as np
@@ -31,7 +30,7 @@ from cropkge.model import SCORE_KINDS, ScoreFunction, crop_model, with_schedule
 from cropkge.scoring import batch_score
 from cropkge.train import TrainConfig, train_med
 
-from conftest import rand_batch, rand_dataset, rand_model
+from conftest import CRITERION_LINES, rand_batch, rand_dataset, rand_model
 
 SCHEDULE = (8, 16, 32, 64)
 SEEDS = (0, 1, 2)
@@ -51,24 +50,9 @@ ACCEPT_CFG = dict(
 )
 
 
-_TERMINAL = {"writer": None}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _capture_terminal_writer(request):
-    _TERMINAL["writer"] = request.config.get_terminal_writer()
-    yield
-
-
 def report_line(criterion: int, detail: str) -> None:
-    """One visible pass/fail line per criterion, bypassing capture."""
-    line = f"criterion {criterion}: {detail}"
-    writer = _TERMINAL["writer"]
-    if writer is not None:
-        writer.line("")
-        writer.line(line)
-    else:
-        print(line, file=sys.__stdout__, flush=True)
+    """One pass/fail line per criterion, printed in the run's summary."""
+    CRITERION_LINES.append(f"criterion {criterion}: {detail}")
 
 
 def rel_err(analytic: float, fd: float) -> float:

@@ -84,6 +84,31 @@ def test_crop_then_save_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.tables["entity"], m.tables["entity"][:, :4])
 
 
+def test_save_failing_part_way_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_crc32 = zlib.crc32
+    path = tmp_path / "m.ckpt"
+    old = rand_model("simple", dtype=np.float32, seed=1)
+    save_checkpoint(old, path)
+    old_bytes = path.read_bytes()
+    for target in (path, tmp_path / "fresh.ckpt"):
+        written = []
+
+        def crc_then_fail(payload):
+            # the first table's bytes are in the file when the second one fails
+            if written:
+                raise OSError("no space left on device")
+            written.append(len(payload))
+            return real_crc32(payload)
+
+        monkeypatch.setattr(zlib, "crc32", crc_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(rand_model("simple", dtype=np.float32, seed=2), target)
+        monkeypatch.setattr(zlib, "crc32", real_crc32)
+        assert written
+    assert path.read_bytes() == old_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
 def test_float64_tables_rejected(tmp_path):
     m = rand_model("transe", dims=(2,), dtype=np.float64)
     with pytest.raises(ValueError, match="float32"):

@@ -227,3 +227,58 @@ def test_crop_of_empty_schedule_checkpoint_is_one_line_error(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "small.ckpt").exists()
+
+
+def test_config_file_epochs_sets_the_epoch_count(tiny_dataset, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 2\nbatch-size = 16\nneg_per_pos = 4\nvalidate-every = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", tiny_dataset, "--out", str(out),
+                 "--dims", "2,4", "--lr", "0.01", "--config", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["epochs"] == 2
+    assert "max_epochs" not in manifest["config"]
+    assert manifest["result"]["epochs_run"] == 2
+    assert len((out / "train_log.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("line, key", [
+    ("batchsize = 64", "batchsize"),
+    ("ei_input = sigmod", "ei_input"),
+    ("batch-size = 1.5", "batch_size"),
+])
+def test_bad_config_key_or_value_is_one_line_error(tiny_dataset, tmp_path, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 3\n{line}\n")
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cropkge.cli", "train", "--dataset", tiny_dataset,
+         "--out", str(out), "--dims", "2,4", "--config", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert str(cfg) in proc.stderr and repr(key) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "manifest.json").exists()  # rejected before training
+
+
+def test_failed_runs_are_marked_failed_in_their_manifest(tiny_dataset, tmp_path, capsys):
+    out = tmp_path / "bkd"
+    missing = tmp_path / "missing.ckpt"
+    assert main(train_args(tiny_dataset, out, method="bkd", dims="2", teacher=missing)) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "missing.ckpt" in manifest["error"]
+    assert "missing.ckpt" in capsys.readouterr().err
+
+    m = rand_model("transe", dims=(2, 4), num_entities=30, num_relations=3, dtype=np.float32)
+    m.tables["entity"][:] = np.nan
+    save_checkpoint(m, tmp_path / "nan.ckpt")
+    ev = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(tmp_path / "nan.ckpt"), "--dataset", tiny_dataset,
+                 "--out", str(ev), "--threads", "1"]) == 1
+    manifest = json.loads((ev / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "dim 2" in manifest["error"] and "wall_clock_sec" not in manifest
+    assert not (ev / "report.csv").exists()

@@ -47,6 +47,10 @@ def test_config_validation():
         small_cfg(probe_dims=(3,))
     with pytest.raises(ValueError, match="strictly increasing"):
         small_cfg(dims=(4, 2))
+    with pytest.raises(ValueError, match="ei_mode 'sigmod'"):
+        small_cfg(ei_mode="sigmod", dims=(4,))
+    with pytest.raises(ValueError, match="pair_mode 'pairs'"):
+        small_cfg(pair_mode="pairs")
 
 
 def test_resolved_probe_dims():
