@@ -32,9 +32,11 @@ from .baselines import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SPLIT_FILES, load_dataset, resolve_dataset, write_stats
-from .evaluate import arr, emit_report, link_prediction, write_arr_matrix
+from .evaluate import arr_from_reports, emit_report, link_prediction, write_arr_matrix
 from .losses import EI_MODES, PAIR_MODES
-from .model import NORMS, SCORE_KINDS, ScoreFunction, crop_model, param_count, reorder_dimensions, with_schedule
+from .model import (
+    NORMS, SCORE_KINDS, ScoreFunction, check_schedule, crop_model, param_count, reorder_dimensions, with_schedule,
+)
 from .train import TrainConfig, train_med
 
 # ablation flag -> the TrainConfig switch it sets
@@ -43,32 +45,22 @@ ABLATIONS = {"noMLM": "no_mlm", "noEIM": "no_eim", "noDLW": "no_dlw"}
 
 def parse_dims(spec: str) -> tuple[int, ...]:
     """Parse `start:stop:step` (stop inclusive when aligned), a comma list,
-    or a single integer. The result must be strictly increasing and >= 1."""
+    or a single integer, into a schedule that passes `check_schedule`."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"dims range must be start:stop:step, got {spec!r}")
         start, stop, step = (int(p) for p in parts)
-        if step < 1:
-            raise ValueError("dims range step must be >= 1")
-        dims = tuple(range(start, stop + 1, step))
-        if not dims:
-            raise ValueError(f"empty dims range {spec!r}")
-    elif "," in spec:
-        dims = tuple(int(p) for p in spec.split(",") if p.strip())
-    else:
-        dims = (int(spec),)
-    if not dims or dims[0] < 1 or any(a >= b for a, b in zip(dims, dims[1:])):
-        raise ValueError(f"dims must be strictly increasing and >= 1, got {spec!r}")
-    return dims
+        return check_schedule(range(start, stop + 1, step))
+    return check_schedule(int(p) for p in spec.split(",") if p.strip())
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` config text; `#` starts a comment line.
 
     Keys are normalized to underscore form, so `batch-size` and
-    `batch_size` are the same setting.
+    `batch_size` are the same setting; a key set twice is an error.
     """
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -79,7 +71,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
+            out[key] = value.strip()
     return out
 
 
@@ -328,8 +323,7 @@ def cmd_eval(args) -> int:
         emit_report(reports, out / "report.csv", fmt="csv")
         emit_report(reports, out / "report.json", fmt="json")
         if args.arr:
-            result = arr(model, dataset, split=args.split, threads=threads,
-                         include_vacuous=args.arr_include_vacuous)
+            result = arr_from_reports(reports, include_vacuous=args.arr_include_vacuous)
             write_json(out / "arr.json", {
                 "arr": result.value,
                 "dims": list(result.dims),

@@ -26,28 +26,39 @@ DATA_DIR_ENV = "CROPKGE_DATA_DIR"
 class FilterIndex:
     """Known-true candidate index over all splits, for filtered ranking.
 
-    byRelTail[(r, t)] holds every head h with (h, r, t) true in any split;
-    byHeadRel[(h, r)] holds every tail likewise.
+    heads(r, t) is every head h with (h, r, t) true in any split, and
+    tails(h, r) every tail likewise. Each side is a pair of int64 arrays,
+    the distinct (key, candidate) pairs sorted by key and then candidate,
+    where the key of (a, b) is a * base + b and base exceeds every id.
     """
 
     def __init__(self, triples: np.ndarray):
-        by_rel_tail: dict[tuple[int, int], list[int]] = {}
-        by_head_rel: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in triples.tolist():
-            by_rel_tail.setdefault((r, t), []).append(h)
-            by_head_rel.setdefault((h, r), []).append(t)
-        self.by_rel_tail = {k: np.unique(v) for k, v in by_rel_tail.items()}
-        self.by_head_rel = {k: np.unique(v) for k, v in by_head_rel.items()}
+        self.base = int(triples.max()) + 1 if len(triples) else 1
+        h, r, t = triples.T
+        self._heads = _sorted_pairs(r * self.base + t, h)
+        self._tails = _sorted_pairs(h * self.base + r, t)
+
+    def _lookup(self, pairs, a: int, b: int) -> np.ndarray:
+        keys, values = pairs
+        key = a * self.base + b if 0 <= b < self.base else -1  # b outside 0..base-1 aliases another key
+        return values[keys.searchsorted(key) : keys.searchsorted(key, "right")]
 
     def heads(self, relation: int, tail: int) -> np.ndarray:
-        """All known-true heads for (?, relation, tail)."""
-        empty = np.empty(0, dtype=np.int64)
-        return self.by_rel_tail.get((relation, tail), empty)
+        """All known-true heads for (?, relation, tail), sorted and unique."""
+        return self._lookup(self._heads, relation, tail)
 
     def tails(self, head: int, relation: int) -> np.ndarray:
-        """All known-true tails for (head, relation, ?)."""
-        empty = np.empty(0, dtype=np.int64)
-        return self.by_head_rel.get((head, relation), empty)
+        """All known-true tails for (head, relation, ?), sorted and unique."""
+        return self._lookup(self._tails, head, relation)
+
+
+def _sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (key, value) pairs, sorted by key and then by value."""
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+    return keys[new], values[new]
 
 
 def build_filter_index(triples: np.ndarray) -> FilterIndex:
@@ -77,24 +88,25 @@ class Dataset:
 
     def _check(self):
         ne, nr = self.num_entities, self.num_relations
-        for name in SPLIT_NAMES:
-            arr = getattr(self, name)
+        splits = [getattr(self, name) for name in SPLIT_NAMES]
+        for name, arr in zip(SPLIT_NAMES, splits):
             if arr.size == 0:
                 continue
             if arr[:, [0, 2]].min() < 0 or arr[:, [0, 2]].max() >= ne:
                 raise ValueError(f"{name} split contains an out-of-range entity id")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= nr:
                 raise ValueError(f"{name} split contains an out-of-range relation id")
-        seen: dict[tuple[int, int, int], str] = {}
-        for name in SPLIT_NAMES:
-            for row in getattr(self, name).tolist():
-                key = tuple(row)
-                prev = seen.get(key)
-                if prev is not None and prev != name:
-                    raise ValueError(
-                        f"triple {key} appears in both {prev} and {name}; splits must be disjoint"
-                    )
-                seen[key] = name
+        # a later split's first triple, in file order, that an earlier split holds
+        keys = [(arr[:, 0] * nr + arr[:, 1]) * ne + arr[:, 2] for arr in splits]
+        for later in (1, 2):
+            clash = np.isin(keys[later], np.concatenate(keys[:later]))
+            if clash.any():
+                j = int(np.argmax(clash))
+                prev = next(SPLIT_NAMES[s] for s in range(later) if keys[later][j] in keys[s])
+                raise ValueError(
+                    f"triple {tuple(splits[later][j].tolist())} appears in both {prev} and "
+                    f"{SPLIT_NAMES[later]}; splits must be disjoint"
+                )
 
     @property
     def num_entities(self) -> int:

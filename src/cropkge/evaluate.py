@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ class MetricsReport:
     effi: float
     split: str
     num_triples: int
+    mean_ranks: np.ndarray = field(repr=False, compare=False)  # per triple, in split order
 
 
 class _Evaluator:
@@ -64,39 +65,36 @@ class _Evaluator:
         self.kind = model.score_fn.kind
         self.norm = model.score_fn.norm
         self.dataset = dataset
-        self.num_entities = model.num_entities
 
     def rank(self, triple, side: str) -> float:
         h, r, t = (int(x) for x in triple)
         scores = one_vs_all_scores(self.tables, self.kind, self.norm, side, (h, r, t))
         if side == "head":
-            gold = h
-            known = self.dataset.filter.heads(r, t)
+            gold, known = h, self.dataset.filter.heads(r, t)
         else:
-            gold = t
-            known = self.dataset.filter.tails(h, r)
-        keep = np.ones(self.num_entities, dtype=bool)
-        keep[known] = False
-        keep[gold] = True
-        kept = scores[keep]
+            gold, known = t, self.dataset.filter.tails(h, r)
         gold_score = scores[gold]
         if not math.isfinite(gold_score):
             raise ValueError(
                 f"non-finite gold score {gold_score} at dim {self.dim} ({side} side of triple {(h, r, t)})"
             )
-        greater = int(np.count_nonzero(kept > gold_score))
-        equal = int(np.count_nonzero(kept == gold_score)) - 1
+        # NaN compares neither greater nor equal, which filters the known-true
+        # candidates out; then the gold is re-admitted
+        scores[known] = np.nan
+        scores[gold] = gold_score
+        greater = int(np.count_nonzero(scores > gold_score))
+        equal = int(np.count_nonzero(scores == gold_score)) - 1
         return 1.0 + greater + 0.5 * equal
 
-    def mean_ranks(self, triples: np.ndarray, threads: int = 1) -> np.ndarray:
+    def side_ranks(self, triples: np.ndarray, threads: int = 1) -> np.ndarray:
+        """(T, 2) head and tail ranks of each triple: the one ranking loop."""
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        out = np.empty(len(triples), dtype=np.float64)
+        out = np.empty((len(triples), 2), dtype=np.float64)
 
         def work(span):
             lo, hi = span
             for j in range(lo, hi):
-                trip = triples[j]
-                out[j] = 0.5 * (self.rank(trip, "head") + self.rank(trip, "tail"))
+                out[j] = self.rank(triples[j], "head"), self.rank(triples[j], "tail")
 
         if threads <= 1 or len(triples) < 2:
             work((0, len(triples)))
@@ -110,21 +108,17 @@ class _Evaluator:
 
 def rank_triple(model: CroppableModel, i: int, triple, dataset: Dataset, side: str) -> float:
     """Filtered rank of one triple at sub-model i, for one side."""
-    d = model.dims[i - 1]
-    return _Evaluator(model, d, dataset).rank(triple, side)
+    return _Evaluator(model, model.dims[i - 1], dataset).rank(triple, side)
 
 
 def rank_outcomes(model: CroppableModel, i: int, dataset: Dataset, split: str = "test") -> list[RankOutcome]:
     """Per-triple rank outcomes for a whole split."""
     triples = dataset.split(split)
-    ev = _Evaluator(model, model.dims[i - 1], dataset)
-    outcomes = []
-    for trip in triples:
-        h, r, t = (int(x) for x in trip)
-        outcomes.append(
-            RankOutcome(triple=(h, r, t), rank_head=ev.rank(trip, "head"), rank_tail=ev.rank(trip, "tail"))
-        )
-    return outcomes
+    ranks = _Evaluator(model, model.dims[i - 1], dataset).side_ranks(triples)
+    return [
+        RankOutcome(triple=tuple(trip), rank_head=head, rank_tail=tail)
+        for trip, (head, tail) in zip(triples.tolist(), ranks.tolist())
+    ]
 
 
 def link_prediction(
@@ -135,7 +129,8 @@ def link_prediction(
     if len(triples) == 0:
         raise ValueError(f"cannot evaluate on empty split {split!r}")
     d = model.dims[i - 1]
-    ranks = _Evaluator(model, d, dataset).mean_ranks(triples, threads=threads)
+    sides = _Evaluator(model, d, dataset).side_ranks(triples, threads=threads)
+    ranks = 0.5 * (sides[:, 0] + sides[:, 1])
     mrr = float(np.mean(1.0 / ranks))
     hits = {k: float(np.mean(ranks <= k)) for k in HIT_KS}
     params = param_count(model, i)
@@ -147,6 +142,7 @@ def link_prediction(
         effi=mrr / params,
         split=split,
         num_triples=int(len(triples)),
+        mean_ranks=ranks,
     )
 
 
@@ -172,10 +168,8 @@ def retention_value(matrix: np.ndarray, include_vacuous: bool = False) -> tuple[
     """
     matrix = np.asarray(matrix, dtype=bool)
     any_correct = matrix.any(axis=1)
-    first = np.argmax(matrix, axis=1)
-    retained = np.zeros(len(matrix), dtype=bool)
-    for j in np.flatnonzero(any_correct):
-        retained[j] = bool(matrix[j, first[j] :].all())
+    # correct from the first correct sub-model on: the running OR adds nothing
+    retained = any_correct & (np.logical_or.accumulate(matrix, axis=1) == matrix).all(axis=1)
     n_correct = int(np.count_nonzero(any_correct))
     n_retained = int(np.count_nonzero(retained))
     if include_vacuous:
@@ -194,24 +188,23 @@ def arr(
     threads: int = 1,
     include_vacuous: bool = False,
 ) -> ArrResult:
-    """Fraction of triples whose correctness, once gained, is never lost.
+    """Fraction of triples whose correctness, once gained, is never lost."""
+    reports = [link_prediction(model, i, dataset, split, threads) for i in range(1, model.n + 1)]
+    return arr_from_reports(reports, include_vacuous)
+
+
+def arr_from_reports(reports: list[MetricsReport], include_vacuous: bool = False) -> ArrResult:
+    """ARR from the link-prediction reports of every sub-model on one split.
 
     correct(i) means filtered mean rank <= 10 at sub-model i; the
     retention rule itself lives in retention_value.
     """
-    triples = dataset.split(split)
-    if len(triples) == 0:
-        raise ValueError(f"cannot evaluate on empty split {split!r}")
-    matrix = np.zeros((len(triples), model.n), dtype=bool)
-    for col in range(model.n):
-        d = model.dims[col]
-        ranks = _Evaluator(model, d, dataset).mean_ranks(triples, threads=threads)
-        matrix[:, col] = ranks <= 10.0
+    matrix = np.stack([r.mean_ranks <= 10.0 for r in reports], axis=1)
     value, n_correct = retention_value(matrix, include_vacuous)
     return ArrResult(
         value=float(value),
         matrix=matrix,
-        dims=model.dims,
+        dims=tuple(r.dim for r in reports),
         num_with_correct=n_correct,
         include_vacuous=include_vacuous,
     )

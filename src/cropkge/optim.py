@@ -14,6 +14,8 @@ import numpy as np
 
 from .model import SCALARS, CroppableModel
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator floor
+
 
 def lr_schedule(step: int, max_steps: int, init_lr: float) -> float:
     """Linear decay from init_lr to 0 over max_steps, floored at 0."""
@@ -26,17 +28,14 @@ def lr_schedule(step: int, max_steps: int, init_lr: float) -> float:
 class Adam:
     """Per-element Adam state over a model's tables and scalars."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     tstep: dict[str, np.ndarray] = field(default_factory=dict)
     scalar_state: dict[str, list] = field(default_factory=dict)
 
     @classmethod
-    def for_model(cls, model: CroppableModel, beta1=0.9, beta2=0.999, eps=1e-8) -> "Adam":
-        opt = cls(beta1=beta1, beta2=beta2, eps=eps)
+    def for_model(cls, model: CroppableModel) -> "Adam":
+        opt = cls()
         for name, table in model.tables.items():
             opt.m[name] = np.zeros(table.shape, dtype=np.float64)
             opt.v[name] = np.zeros(table.shape, dtype=np.float64)
@@ -63,12 +62,12 @@ class Adam:
             v_b = self.v[name][ids, cols]
             t_b = self.tstep[name][ids, cols]
             t_new = np.where(mask, t_b + 1, t_b)
-            m_new = np.where(mask, self.beta1 * m_b + (1.0 - self.beta1) * grad, m_b)
-            v_new = np.where(mask, self.beta2 * v_b + (1.0 - self.beta2) * grad * grad, v_b)
+            m_new = np.where(mask, BETA1 * m_b + (1.0 - BETA1) * grad, m_b)
+            v_new = np.where(mask, BETA2 * v_b + (1.0 - BETA2) * grad * grad, v_b)
             t_safe = np.where(mask, t_new, 1)
-            m_hat = m_new / (1.0 - self.beta1 ** t_safe)
-            v_hat = v_new / (1.0 - self.beta2 ** t_safe)
-            delta = np.where(mask, -lr * m_hat / (np.sqrt(v_hat) + self.eps), 0.0)
+            m_hat = m_new / (1.0 - BETA1 ** t_safe)
+            v_hat = v_new / (1.0 - BETA2 ** t_safe)
+            delta = np.where(mask, -lr * m_hat / (np.sqrt(v_hat) + EPS), 0.0)
             table = model.tables[name]
             block = table[ids, cols].astype(np.float64) + delta
             table[ids, cols] = block.astype(table.dtype)
@@ -80,10 +79,10 @@ class Adam:
                 continue
             sm, sv, st = self.scalar_state[name]
             st += 1
-            sm = self.beta1 * sm + (1.0 - self.beta1) * g
-            sv = self.beta2 * sv + (1.0 - self.beta2) * g * g
-            m_hat = sm / (1.0 - self.beta1 ** st)
-            v_hat = sv / (1.0 - self.beta2 ** st)
-            value = getattr(model, name) - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            sm = BETA1 * sm + (1.0 - BETA1) * g
+            sv = BETA2 * sv + (1.0 - BETA2) * g * g
+            m_hat = sm / (1.0 - BETA1 ** st)
+            v_hat = sv / (1.0 - BETA2 ** st)
+            value = getattr(model, name) - lr * m_hat / (np.sqrt(v_hat) + EPS)
             setattr(model, name, float(value))
             self.scalar_state[name] = [sm, sv, st]

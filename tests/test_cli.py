@@ -1,14 +1,18 @@
 """Command-line interface: parsing units and end-to-end subcommand runs."""
 import csv
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from cropkge import evaluate
 from cropkge.checkpoint import load_checkpoint, save_checkpoint
 from cropkge.cli import main, parse_config_file, parse_dims
+from cropkge.data import load_dataset
+from cropkge.evaluate import arr, write_arr_matrix
 from cropkge.synth import generate
 
 from conftest import rand_model
@@ -58,6 +62,19 @@ def test_parse_config_file(tmp_path):
         parse_config_file(bad)
 
 
+def test_parse_config_file_rejects_a_repeated_key(tiny_dataset, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    for text, where in (("epochs = 2\nepochs = 5\n", "twice.cfg:2: key 'epochs'"),
+                        ("batch-size = 8\n# note\nbatch_size = 9\n", "twice.cfg:3: key 'batch_size'")):
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(where + " is set twice")):
+            parse_config_file(cfg)
+    rc = main(train_args(tiny_dataset, tmp_path / "run") + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert "twice.cfg:3" in err and "batch_size" in err
+
+
 def test_train_and_eval_end_to_end(tiny_dataset, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(tiny_dataset, out)) == 0
@@ -89,6 +106,29 @@ def test_train_and_eval_end_to_end(tiny_dataset, tmp_path):
     arr_info = json.loads((ev / "arr.json").read_text())
     assert 0.0 <= arr_info["arr"] <= 1.0
     assert (ev / "arr_matrix.tsv").exists()
+
+
+def test_eval_arr_ranks_each_width_once(tiny_dataset, tmp_path, monkeypatch):
+    ds = load_dataset(tiny_dataset)
+    model = rand_model("transe", dims=(2, 4, 8), num_entities=ds.num_entities,
+                       num_relations=ds.num_relations, dtype=np.float32)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    sides = []
+    score = evaluate.one_vs_all_scores
+
+    def counted(tables, kind, norm, side, triple):
+        sides.append(side)
+        return score(tables, kind, norm, side, triple)
+
+    monkeypatch.setattr(evaluate, "one_vs_all_scores", counted)
+    ev = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--dataset", tiny_dataset,
+                 "--out", str(ev), "--threads", "2", "--arr"]) == 0
+    assert len(sides) == 2 * len(ds.test) * model.n  # link prediction alone; ARR re-ranks nothing
+    monkeypatch.undo()
+    alone = tmp_path / "alone.tsv"
+    write_arr_matrix(arr(model, ds), alone)
+    assert (ev / "arr_matrix.tsv").read_bytes() == alone.read_bytes()
 
 
 def test_train_byte_determinism(tiny_dataset, tmp_path):

@@ -1,5 +1,6 @@
 """Dataset loading, vocabulary encoding, filter index, negative sampling."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def test_cross_split_duplicate_rejected(tmp_path):
     write_dataset(tmp_path, train=[("a", "r", "b")], valid=[("a", "r", "b")], test=[])
     with pytest.raises(ValueError, match="disjoint"):
         load_dataset(tmp_path)
+    # the error names the later split's first shared triple in file order, and
+    # the split that holds it; repeats within one split are allowed
+    train = [[0, 0, 1], [1, 0, 2], [2, 0, 3], [0, 0, 1]]
+    cases = [
+        ([[3, 0, 0], [2, 0, 3], [1, 0, 2]], [], (2, 0, 3), "train and valid"),
+        ([[3, 0, 0], [1, 1, 1]], [[0, 1, 0], [1, 1, 1], [0, 0, 1]], (1, 1, 1), "valid and test"),
+        ([[3, 0, 0]], [[0, 1, 0], [1, 0, 2], [3, 0, 0]], (1, 0, 2), "train and test"),
+    ]
+    for valid, test, triple, splits in cases:
+        want = f"triple {triple} appears in both {splits}; splits must be disjoint"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            make_dataset(train, valid, test, num_entities=4, num_relations=2)
 
 
 def test_out_of_range_ids_rejected():
@@ -138,7 +151,24 @@ def test_filter_index_matches_brute_force():
         np.testing.assert_array_equal(ds.filter.heads(r, t), heads)
         np.testing.assert_array_equal(ds.filter.tails(h, r), tails)
     assert ds.filter.heads(0, 9999 % ds.num_entities).dtype == np.int64
-    assert len(build_filter_index(np.empty((0, 3), dtype=np.int64)).heads(0, 0)) == 0
+
+    # repeated rows, and one head and tail under every relation, all queries
+    triples = rand_triples(np.random.default_rng(6), 60, 10, 4)
+    triples = np.concatenate([triples, triples[:15], [[3, r, 7] for r in range(4)]])
+    index = build_filter_index(triples)
+    every = triples.tolist()
+    for a in range(10):
+        for r in range(4):
+            heads = sorted({hh for hh, rr, tt in every if rr == r and tt == a})
+            tails = sorted({tt for hh, rr, tt in every if hh == a and rr == r})
+            for got, want in ((index.heads(r, a), heads), (index.tails(a, r), tails)):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+    # an id past every indexed one must not alias the key of another query
+    assert len(index.heads(0, 10)) == 0 and len(index.heads(1, 0)) > 0
+    empty = build_filter_index(np.empty((0, 3), dtype=np.int64))
+    for got in (empty.heads(0, 0), empty.tails(0, 0)):
+        assert got.dtype == np.int64 and len(got) == 0
 
 
 def test_negative_sampling_shapes_and_slots(rng):

@@ -7,6 +7,7 @@ import pytest
 
 from cropkge.data import build_filter_index, load_dataset, make_dataset, resolve_dataset
 from cropkge.evaluate import (
+    _Evaluator,
     arr,
     emit_report,
     link_prediction,
@@ -84,6 +85,20 @@ def test_mean_rank_and_mrr_aggregation():
         assert rep.hit_at[k] == pytest.approx(float(np.mean(mean_ranks <= k)), rel=1e-12)
     assert rep.hit_at[1] <= rep.hit_at[3] <= rep.hit_at[10]
     assert rep.num_triples == len(ds.test)
+
+
+def test_rank_outcomes_are_the_ranks_behind_link_prediction():
+    ds = rand_dataset(seed=39, num_entities=12, n_train=40, n_valid=8, n_test=10)
+    m = rand_model("transe", num_entities=ds.num_entities, num_relations=ds.num_relations, seed=4)
+    m.tables["entity"][5] = m.tables["entity"][6]  # exact ties
+    # threaded runs first, so a row a thread skips cannot hold a freed buffer's right answer
+    by_threads = {t: (_Evaluator(m, m.dim, ds).side_ranks(ds.test, threads=t),
+                      link_prediction(m, m.n, ds, split="test", threads=t).mean_ranks) for t in (4, 1)}
+    outs = rank_outcomes(m, m.n, ds, split="test")
+    assert [o.triple for o in outs] == [tuple(t) for t in ds.test.tolist()]
+    for sides, mean_ranks in by_threads.values():
+        np.testing.assert_array_equal(sides, [[o.rank_head, o.rank_tail] for o in outs])
+        np.testing.assert_array_equal(mean_ranks, [o.mean_rank for o in outs])
 
 
 def test_report_params_and_effi():
