@@ -13,12 +13,10 @@ from .data import Dataset, FilterIndex, NegativeBatch, load_dataset, make_datase
 from .model import (
     LAYOUTS,
     CroppableModel,
-    PrefixView,
     ScoreFunction,
     crop_model,
     init_model,
     param_count,
-    prefix_view,
     reorder_dimensions,
     with_schedule,
 )

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .model import LAYOUTS, NORMS, SCORE_KINDS, CroppableModel, ScoreFunction, check_schedule
+from .model import NORMS, SCORE_KINDS, CroppableModel, ScoreFunction, check_schedule, table_rows
 
 MAGIC = b"CKGE"
 VERSION = 1
@@ -37,7 +37,7 @@ def save_checkpoint(model: CroppableModel, path: str | Path) -> None:
             raise ValueError(
                 f"checkpoint tables must be float32, table {name!r} is {table.dtype}"
             )
-    names = model.table_names()
+    names = table_rows(model.score_fn, model.num_entities, model.num_relations)
     with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HBBH", VERSION, _KIND_ID[model.score_fn.kind],
@@ -87,7 +87,7 @@ def load_checkpoint(path: str | Path) -> CroppableModel:
         w1, w2, w3 = struct.unpack("<3d", _need(fh, 24, "scalars"))
         (table_count,) = struct.unpack("<B", _need(fh, 1, "table count"))
         score_fn = ScoreFunction(kind=SCORE_KINDS[kind_id], norm=NORMS[norm_id])
-        expected = [name for name, _ in LAYOUTS[score_fn.kind]]
+        expected = list(table_rows(score_fn, num_entities, num_relations))
         if table_count != len(expected):
             raise ValueError(
                 f"checkpoint has {table_count} tables, layout {score_fn.kind!r} needs {len(expected)}"

@@ -384,7 +384,7 @@ def cmd_dump(args) -> int:
     model = load_checkpoint(args.checkpoint)
     if args.table not in model.tables:
         raise ValueError(f"unknown table {args.table!r}; checkpoint has {list(model.tables)}")
-    d = args.dim or model.dim
+    d = model.dim if args.dim is None else args.dim
     if not 1 <= d <= model.dim:
         raise ValueError(f"dump dim {d} out of range 1..{model.dim}")
     table = model.tables[args.table][:, :d]

@@ -108,13 +108,13 @@ class _Evaluator:
 
 def rank_triple(model: CroppableModel, i: int, triple, dataset: Dataset, side: str) -> float:
     """Filtered rank of one triple at sub-model i, for one side."""
-    return _Evaluator(model, model.dims[i - 1], dataset).rank(triple, side)
+    return _Evaluator(model, model.width(i), dataset).rank(triple, side)
 
 
 def rank_outcomes(model: CroppableModel, i: int, dataset: Dataset, split: str = "test") -> list[RankOutcome]:
     """Per-triple rank outcomes for a whole split."""
     triples = dataset.split(split)
-    ranks = _Evaluator(model, model.dims[i - 1], dataset).side_ranks(triples)
+    ranks = _Evaluator(model, model.width(i), dataset).side_ranks(triples)
     return [
         RankOutcome(triple=tuple(trip), rank_head=head, rank_tail=tail)
         for trip, (head, tail) in zip(triples.tolist(), ranks.tolist())
@@ -128,7 +128,7 @@ def link_prediction(
     triples = dataset.split(split)
     if len(triples) == 0:
         raise ValueError(f"cannot evaluate on empty split {split!r}")
-    d = model.dims[i - 1]
+    d = model.width(i)
     sides = _Evaluator(model, d, dataset).side_ranks(triples, threads=threads)
     ranks = 0.5 * (sides[:, 0] + sides[:, 1])
     mrr = float(np.mean(1.0 / ranks))

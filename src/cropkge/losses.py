@@ -131,12 +131,12 @@ class PrefixBatch:
         r = np.concatenate([positives[:, 1], nr])
         t = np.concatenate([positives[:, 2], nt])
         vecs, self.ids, self.tables = gather_slots(model, i, h, r, t, check=False)
-        self.kind, self.norm, self.dims = model.score_fn.kind, model.score_fn.norm, model.dims
+        self.kind, self.norm, self.width = model.score_fn.kind, model.score_fn.norm, model.width
         self.parts, self.saved = _forward(self.kind, vecs)
         self._scores: dict[int, np.ndarray] = {}
 
     def _prefix(self, idx: int) -> tuple:
-        d = self.dims[idx - 1]
+        d = self.width(idx)
         return tuple(p[:, :d] for p in self.parts)
 
     def scores(self, idx: int) -> np.ndarray:
@@ -153,7 +153,7 @@ class PrefixBatch:
         """
         g = None
         for idx in sorted(dscores, reverse=True):
-            d = self.dims[idx - 1]
+            d = self.width(idx)
             blocks = _vjp(self.kind, self.norm, self._prefix(idx), self.scores(idx), dscores[idx])
             if g is None:
                 g = list(blocks)
@@ -378,8 +378,6 @@ def total_loss(
     """
     if pair_mode not in PAIR_MODES:
         raise ValueError(f"unknown pair mode {pair_mode!r}")
-    if not 1 <= index <= model.n:
-        raise ValueError(f"sub-model index {index} out of range 1..{model.n}")
     b = len(np.asarray(positives).reshape(-1, 3))
     batch = PrefixBatch(model, index, positives, negatives)
 
@@ -408,7 +406,7 @@ def total_loss(
         if no_dlw:
             lam, dlam = 1.0, 0.0
         else:
-            ratio = model.dims[idx - 1] / model.dim
+            ratio = model.width(idx) / model.dim
             lam = float(np.exp(model.w3 * ratio))
             dlam = ratio * lam
         dscores[idx] = lam * np.concatenate([dpos, dneg])

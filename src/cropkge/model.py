@@ -64,6 +64,12 @@ class ScoreFunction:
             raise ValueError(f"unknown norm {self.norm!r}; expected one of {NORMS}")
 
 
+def table_rows(score_fn: ScoreFunction, num_entities: int, num_relations: int) -> dict[str, int]:
+    """Row count of every table, in wire order: one row per entity or per relation."""
+    rows = {ENTITY: num_entities, RELATION: num_relations}
+    return {name: rows[domain] for name, domain in LAYOUTS[score_fn.kind]}
+
+
 def check_schedule(dims) -> tuple[int, ...]:
     """Validate a crop schedule: positive ints, strictly increasing."""
     dims = tuple(int(d) for d in dims)
@@ -91,11 +97,10 @@ class CroppableModel:
 
     def __post_init__(self):
         self.dims = check_schedule(self.dims)
-        expected = dict(LAYOUTS[self.score_fn.kind])
+        expected = table_rows(self.score_fn, self.num_entities, self.num_relations)
         if set(self.tables) != set(expected):
             raise ValueError(f"tables {sorted(self.tables)} do not match layout {sorted(expected)}")
-        for name, domain in expected.items():
-            rows = self.num_entities if domain == ENTITY else self.num_relations
+        for name, rows in expected.items():
             if self.tables[name].shape != (rows, self.dim):
                 raise ValueError(
                     f"table {name!r} has shape {self.tables[name].shape}, expected {(rows, self.dim)}"
@@ -115,12 +120,11 @@ class CroppableModel:
     def dtype(self) -> np.dtype:
         return next(iter(self.tables.values())).dtype
 
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in LAYOUTS[self.score_fn.kind])
-
-    def rows_of(self, name: str) -> int:
-        domain = dict(LAYOUTS[self.score_fn.kind])[name]
-        return self.num_entities if domain == ENTITY else self.num_relations
+    def width(self, i: int) -> int:
+        """d_i, the width of sub-model i; indices run from 1 to n."""
+        if not (isinstance(i, (int, np.integer)) and 1 <= i <= self.n):
+            raise ValueError(f"sub-model index {i} out of range 1..{self.n}")
+        return self.dims[i - 1]
 
     def scalars(self) -> dict[str, float]:
         return {"w1": self.w1, "w2": self.w2, "w3": self.w3}
@@ -151,8 +155,7 @@ def init_model(
     width = dims[-1]
     bound = init_range if init_range is not None else 1.0 / np.sqrt(width)
     tables = {}
-    for name, domain in LAYOUTS[score_fn.kind]:
-        rows = num_entities if domain == ENTITY else num_relations
+    for name, rows in table_rows(score_fn, num_entities, num_relations).items():
         if name == "relation_phase":
             tables[name] = rng.uniform(0.0, 2.0 * np.pi, size=(rows, width)).astype(dtype)
         else:
@@ -166,42 +169,11 @@ def init_model(
     )
 
 
-@dataclass
-class PrefixView:
-    """Read/write view of the first d_i columns of every table.
-
-    The arrays alias the model's storage: writes through the view mutate
-    the model.
-    """
-
-    index: int
-    dim: int
-    tables: dict[str, np.ndarray]
-
-
-def prefix_view(model: CroppableModel, i: int) -> PrefixView:
-    """View of sub-model i (1-based index into the schedule)."""
-    if not 1 <= i <= model.n:
-        raise ValueError(f"sub-model index {i} out of range 1..{model.n}")
-    d = model.dims[i - 1]
-    return PrefixView(index=i, dim=d, tables={k: v[:, :d] for k, v in model.tables.items()})
-
-
-def _truncate(model: CroppableModel, d: int) -> CroppableModel:
-    """Copy of the model truncated to width d; d joins the schedule if absent."""
-    dims = tuple(x for x in model.dims if x < d) + (d,)
-    return replace(
-        model,
-        dims=dims,
-        tables={k: np.ascontiguousarray(v[:, :d]) for k, v in model.tables.items()},
-    )
-
-
 def crop_model(model: CroppableModel, d: int) -> CroppableModel:
     """Crop to a schedule dimension: new model of width d, schedule <= d."""
     if d not in model.dims:
         raise ValueError(f"dimension {d} not in schedule {model.dims}")
-    return _truncate(model, d)
+    return with_schedule(model, model.dims[: model.dims.index(d) + 1])
 
 
 def with_schedule(model: CroppableModel, dims) -> CroppableModel:
@@ -211,10 +183,12 @@ def with_schedule(model: CroppableModel, dims) -> CroppableModel:
     tables are truncated to it.
     """
     dims = check_schedule(dims)
-    if dims[-1] > model.dim:
-        raise ValueError(f"schedule top {dims[-1]} exceeds table width {model.dim}")
-    out = _truncate(model, dims[-1])
-    return replace(out, dims=dims)
+    top = dims[-1]
+    if top > model.dim:
+        raise ValueError(f"schedule top {top} exceeds table width {model.dim}")
+    return replace(
+        model, dims=dims, tables={k: np.ascontiguousarray(v[:, :top]) for k, v in model.tables.items()}
+    )
 
 
 def reorder_dimensions(model: CroppableModel, importance) -> CroppableModel:
@@ -239,13 +213,10 @@ def param_count(model: CroppableModel, i: int | None = None) -> int:
     Counts table cells only; the three scalars are training artifacts and
     excluded.
     """
-    d = model.dim if i is None else model.dims[i - 1]
+    d = model.dim if i is None else model.width(i)
     return param_count_for(model.score_fn, model.num_entities, model.num_relations, d)
 
 
 def param_count_for(score_fn: ScoreFunction, num_entities: int, num_relations: int, d: int) -> int:
     """Parameter count arithmetic without materializing a model."""
-    total = 0
-    for _, domain in LAYOUTS[score_fn.kind]:
-        total += (num_entities if domain == ENTITY else num_relations) * d
-    return total
+    return d * sum(table_rows(score_fn, num_entities, num_relations).values())

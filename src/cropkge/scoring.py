@@ -170,19 +170,13 @@ def _kernel(kind: str, vecs: dict[str, np.ndarray], norm: str, want_grad: bool):
     return scores, _backward(kind, saved, _vjp(kind, norm, parts, scores, np.ones_like(scores)))
 
 
-def _prefix_dim(model: CroppableModel, i: int) -> int:
-    if not 1 <= i <= model.n:
-        raise ValueError(f"sub-model index {i} out of range 1..{model.n}")
-    return model.dims[i - 1]
-
-
 def gather_slots(model: CroppableModel, i: int, h, r, t, check: bool = True):
     """Float64 slot vectors and row ids for a triple batch at sub-model i.
 
     Returns (vecs, ids, tables): slot -> (N, d_i) vectors, slot -> (N,) row
     ids, slot -> table name.
     """
-    d = _prefix_dim(model, i)
+    d = model.width(i)
     h = np.atleast_1d(np.asarray(h, dtype=np.int64))
     r = np.atleast_1d(np.asarray(r, dtype=np.int64))
     t = np.atleast_1d(np.asarray(t, dtype=np.int64))
@@ -215,8 +209,6 @@ def batch_score_grad(model: CroppableModel, i: int, h, r, t, check: bool = True)
 def batch_score(model: CroppableModel, i: int, triples) -> np.ndarray:
     """Scores of an (N, 3) triple batch at sub-model i, order preserving."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    if len(triples) == 0:
-        return np.empty(0, dtype=np.float64)
     vecs, _, _ = gather_slots(model, i, triples[:, 0], triples[:, 1], triples[:, 2])
     scores, _ = _kernel(model.score_fn.kind, vecs, model.score_fn.norm, want_grad=False)
     return scores

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class TrainConfig:
     pair_mode: str = "single"
     eval_threads: int = 1
     init_range: float | None = None
-    dtype: object = np.float32
+    dtype: ClassVar = np.float32  # checkpoints store float32 tables
 
     def __post_init__(self):
         self.dims = check_schedule(self.dims)
@@ -226,7 +227,7 @@ def run_training_loop(dataset: Dataset, cfg: TrainConfig, state: TrainState, ste
         raise ValueError("empty training split")
     can_validate = len(dataset.valid) > 0
     probe_dims = cfg.resolved_probe_dims()
-    probe_indices = [cfg.dims.index(d) + 1 for d in probe_dims if d in state.model.dims]
+    probe_indices = [cfg.dims.index(d) + 1 for d in probe_dims]
 
     log: list[dict] = []
     best_mrr: float | None = None

@@ -208,6 +208,18 @@ def test_crop_and_dump_and_stats(tiny_dataset, tmp_path):
     assert st["entities"] == 30
 
 
+def test_dump_dim_zero_is_an_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(rand_model("transe", dims=(2, 4), dtype=np.float32), ckpt)
+    out = tmp_path / "emb.tsv"
+    args = ["dump", "--checkpoint", str(ckpt), "--table", "entity", "--out", str(out)]
+    assert main(args + ["--dim", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: dump dim 0 out of range 1..4"]
+    assert not out.exists()
+    assert main(args + ["--dim", "2"]) == 0
+    assert all(len(line.split("\t")) == 1 + 2 for line in out.read_text().splitlines())
+
+
 def test_importance_subcommand(tiny_dataset, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(tiny_dataset, out, method="dt", dims="4")) == 0

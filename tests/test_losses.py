@@ -438,7 +438,7 @@ def test_one_pass_total_loss_matches_reference_terms(kind, norm, pair_mode, abla
     # entity rows 0, 1 and relation row 0 are zero, so triple (0, 0, 1)
     # scores exactly 0 at every width and raw mode has something to clamp
     for name, table in m.tables.items():
-        table[: 2 if m.rows_of(name) == m.num_entities else 1] = 0.0
+        table[: 2 if len(table) == m.num_entities else 1] = 0.0
     pos[0] = (0, 0, 1)
     flags = {"no_mlm": False, "no_eim": False, "no_dlw": False, **ablation}
     for index in range(1, m.n + 1):

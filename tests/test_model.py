@@ -1,7 +1,10 @@
-"""Parameter store: layouts, init, prefix views, cropping, reordering."""
+"""Parameter store: layouts, init, sub-model widths, cropping, reordering."""
 import numpy as np
 import pytest
 
+from cropkge.data import sample_negatives
+from cropkge.evaluate import link_prediction, rank_outcomes, rank_triple
+from cropkge.losses import total_loss
 from cropkge.model import (
     LAYOUTS,
     ScoreFunction,
@@ -10,12 +13,13 @@ from cropkge.model import (
     init_model,
     param_count,
     param_count_for,
-    prefix_view,
     reorder_dimensions,
+    table_rows,
     with_schedule,
 )
+from cropkge.scoring import batch_score
 
-from conftest import ALL_KINDS, rand_model
+from conftest import ALL_KINDS, rand_dataset, rand_model
 
 
 def test_score_function_validation():
@@ -37,9 +41,11 @@ def test_check_schedule():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_init_shapes_and_layout(kind):
     m = rand_model(kind, dims=(3, 7), num_entities=5, num_relations=2)
-    assert set(m.tables) == {name for name, _ in LAYOUTS[kind]}
-    for name in m.table_names():
-        assert m.tables[name].shape == (m.rows_of(name), 7)
+    rows = table_rows(m.score_fn, 5, 2)
+    assert list(rows) == [name for name, _ in LAYOUTS[kind]]
+    assert set(m.tables) == set(rows)
+    for name, count in rows.items():
+        assert m.tables[name].shape == (count, 7)
     assert m.n == 2 and m.dim == 7
     assert m.scalars() == {"w1": 1.0, "w2": 1.0, "w3": 1.0}
 
@@ -73,15 +79,38 @@ def test_init_guards():
         init_model(ScoreFunction("transe"), (2,), 0, 1, rng)
 
 
-def test_prefix_view_aliases_storage():
-    m = rand_model("transe", dims=(2, 5))
-    view = prefix_view(m, 1)
-    assert view.dim == 2
-    view.tables["entity"][0, 0] = 123.0
-    assert m.tables["entity"][0, 0] == 123.0
-    assert prefix_view(m, 2).tables["entity"].shape[1] == 5
-    with pytest.raises(ValueError, match="out of range"):
-        prefix_view(m, 3)
+def test_width_maps_each_index_to_its_dimension():
+    m = rand_model("transe", dims=(2, 5, 9))
+    assert [m.width(i) for i in range(1, m.n + 1)] == [2, 5, 9]
+    assert m.width(np.int64(2)) == 5
+    for bad in (0, -1, 4, 1.0):
+        with pytest.raises(ValueError, match=r"sub-model index .* out of range 1\.\.3"):
+            m.width(bad)
+
+
+def _negatives(m, positives):
+    return sample_negatives(positives, 2, m.num_entities, np.random.default_rng(0))
+
+
+# every public function that takes a sub-model index
+INDEX_CALLS = {
+    "link_prediction": link_prediction,
+    "rank_outcomes": rank_outcomes,
+    "rank_triple": lambda m, i, ds: rank_triple(m, i, ds.test[0], ds, "tail"),
+    "param_count": lambda m, i, ds: param_count(m, i),
+    "batch_score": lambda m, i, ds: batch_score(m, i, ds.test),
+    "total_loss": lambda m, i, ds: total_loss(m, i, ds.train[:4], _negatives(m, ds.train[:4])),
+}
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+@pytest.mark.parametrize("which", ["0", "-1", "n+1"])
+def test_bad_sub_model_index_is_a_value_error(which, call):
+    ds = rand_dataset(seed=3)
+    m = rand_model("transe", dims=(2, 4), num_entities=ds.num_entities, num_relations=ds.num_relations)
+    i = {"0": 0, "-1": -1, "n+1": m.n + 1}[which]
+    with pytest.raises(ValueError, match=f"sub-model index {i} out of range 1..{m.n}"):
+        INDEX_CALLS[call](m, i, ds)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -95,6 +124,13 @@ def test_crop_is_bitwise_prefix(kind):
     assert (c.w1, c.w2, c.w3) == (m.w1, m.w2, m.w3)
     with pytest.raises(ValueError, match="not in schedule"):
         crop_model(m, 4)
+    # a crop is the schedule cut at d, byte for byte
+    for d in m.dims:
+        c, s = crop_model(m, d), with_schedule(m, tuple(x for x in m.dims if x <= d))
+        assert (c.dims, c.scalars()) == (s.dims, s.scalars())
+        for name in m.tables:
+            assert c.tables[name].dtype == s.tables[name].dtype
+            assert c.tables[name].tobytes() == s.tables[name].tobytes()
 
 
 def test_with_schedule_reinterprets():
