@@ -19,7 +19,7 @@ from .data import Dataset, sample_negatives
 from .losses import GradBuffer, LossBreakdown, PrefixBatch, class_mean_bce, kge_loss
 from .model import CroppableModel, reorder_dimensions, with_schedule
 from .scoring import batch_score
-from .train import TrainConfig, TrainResult, TrainState, init_state, run_training_loop, run_with_lr_policy, train_med
+from .train import TrainConfig, TrainResult, TrainState, train_med
 
 
 def train_dt(dataset: Dataset, dim: int, cfg: TrainConfig) -> TrainResult:
@@ -151,7 +151,7 @@ def bkd_loss(
     dpos_total = alpha * dpos + dz[:, 0]
     dneg_total = alpha * dneg + dz[:, 1:].reshape(-1)
 
-    buf = batch.grads({student.n: np.concatenate([dpos_total, dneg_total])})
+    buf = batch.grads({student.n: np.concatenate([dpos_total, dneg_total])}, GradBuffer())
     breakdown = LossBreakdown(
         index=student.n, total=total, ei={student.n: bce}, ml=None,
         lambdas={student.n: 1.0}, kl=kl,
@@ -176,11 +176,7 @@ def distill_bkd(
     scfg = replace(cfg, score_fn=teacher.score_fn, dims=(int(student_dim),), probe_dims=None)
 
     def step(state: TrainState, positives: np.ndarray) -> tuple[LossBreakdown, GradBuffer]:
-        negatives = sample_negatives(positives, scfg.neg_per_pos, state.num_entities, state.rng)
+        negatives = sample_negatives(positives, scfg.neg_per_pos, state.model.num_entities, state.rng)
         return bkd_loss(state.model, teacher, positives, negatives, **loss_options)
 
-    def run(lr: float) -> TrainResult:
-        state = init_state(dataset, scfg, lr)
-        return run_training_loop(dataset, scfg, state, step)
-
-    return run_with_lr_policy(dataset, scfg, run)
+    return train_med(dataset, scfg, step)

@@ -21,8 +21,12 @@ negatives (PrefixBatch) gives the scores at every width the step reads:
 d_i, d_{i-1}, and d_{i-2} in pair mode. d(loss)/d(score) from each term is
 summed per width, folded into one per-column gradient of the score terms,
 mapped to slot gradients once, and scattered once per table (segment_sum).
-ei_loss and mutual_learning_loss compute the same terms one pass at a
-time; they are the reference the one-pass step is tested against.
+
+Each term is written once: _ei_weights is the teacher softmax, _ei_term the
+weighted BCE with its w1/w2 gradients, _ml_term the huber distance. ei_loss
+and mutual_learning_loss call the same helpers but gather every term at its
+own width (one PrefixBatch per width, teacher scores from batch_score); they
+are the reference the one-pass step is tested against.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .data import NegativeBatch
 from .model import CroppableModel
-from .scoring import _backward, _forward, _scores, _vjp, batch_score, batch_score_grad, gather_slots
+from .scoring import _backward, _forward, _scores, _vjp, batch_score, gather_slots
 
 RAW_EPS = 1e-6
 EI_MODES = ("sigmoid", "raw")  # teacher-score input g(s) of the EI weights
@@ -90,31 +94,23 @@ def segment_sum(contribs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarr
 class GradBuffer:
     """Sparse gradient accumulator: table row blocks plus scalar grads.
 
-    Contributions are appended cheaply and summed by row id in finalized(),
-    one segment_sum per table.
+    w holds the w1/w2/w3 gradients and clamped the count of clamped teacher
+    scores; both are known when the buffer is built. Table contributions
+    are appended cheaply and summed by row id in finalized(), one
+    segment_sum per table.
     """
 
-    def __init__(self):
+    def __init__(self, w: dict[str, float] | None = None, clamped: int = 0):
         self._contribs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self.w = {"w1": 0.0, "w2": 0.0, "w3": 0.0}
-        self.clamped = 0
+        self.w = {"w1": 0.0, "w2": 0.0, "w3": 0.0} if w is None else w
+        self.clamped = clamped
 
     def add(self, table: str, ids: np.ndarray, grads: np.ndarray) -> None:
         self._contribs.setdefault(table, []).append((ids, grads))
 
-    def add_scalar(self, name: str, value: float) -> None:
-        self.w[name] += float(value)
-
     def finalized(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per table: (unique row ids, accumulated gradient block)."""
         return {table: segment_sum(contribs) for table, contribs in self._contribs.items()}
-
-    def dense(self, shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
-        """Full-shape gradient arrays (testing convenience)."""
-        out = {table: np.zeros(shape, dtype=np.float64) for table, shape in shapes.items()}
-        for table, (uids, acc) in self.finalized().items():
-            out[table][uids, : acc.shape[1]] += acc
-        return out
 
 
 class PrefixBatch:
@@ -145,11 +141,11 @@ class PrefixBatch:
             self._scores[idx] = _scores(self.kind, self.norm, self._prefix(idx))
         return self._scores[idx]
 
-    def grads(self, dscores: dict[int, np.ndarray]) -> GradBuffer:
-        """Table gradients of sum over idx of dscores[idx] . scores(idx).
+    def grads(self, dscores: dict[int, np.ndarray], buf: GradBuffer) -> GradBuffer:
+        """Add the table gradients of sum over idx of dscores[idx] . scores(idx) to buf.
 
         dscores must hold the batch's own index i: its full-width block is
-        the accumulator the narrower ones add into.
+        the accumulator the narrower ones add into. Returns buf.
         """
         g = None
         for idx in sorted(dscores, reverse=True):
@@ -160,7 +156,6 @@ class PrefixBatch:
             else:
                 for acc, block in zip(g, blocks):
                     acc[:, :d] += block
-        buf = GradBuffer()
         for slot, grad in _backward(self.kind, self.saved, g).items():
             buf.add(self.tables[slot], self.ids[slot], grad)
         return buf
@@ -190,17 +185,9 @@ def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n, dtype=np.float64) if n else np.empty(0, dtype=np.float64)
 
 
-def _weighted_bce(pos_scores, pos_w, neg_scores, neg_w):
-    """Weighted BCE value and d/d(score) for positives and negatives."""
-    value = float(np.sum(pos_w * softplus(-pos_scores)) + np.sum(neg_w * softplus(neg_scores)))
-    dpos = pos_w * (sigmoid(pos_scores) - 1.0)
-    dneg = neg_w * sigmoid(neg_scores)
-    return value, dpos, dneg
-
-
 def class_mean_bce(pos_scores, neg_scores):
     """Per-class-mean BCE value and d/d(score) for positives and negatives."""
-    return _weighted_bce(pos_scores, _uniform(len(pos_scores)), neg_scores, _uniform(len(neg_scores)))
+    return _ei_term(pos_scores, neg_scores)[:3]
 
 
 def kge_loss(scores, labels) -> float:
@@ -237,6 +224,21 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _ei_weights(teacher_scores, w: float, mode: str, positive: bool):
+    """EI weights from teacher scores: softmax of w/g(s) (positives) or w*g(s).
+
+    Returns (weights, d weights / d w, clamped teacher scores). The logits
+    are w * a with a = 1/g or g, so d w_j / d w follows from the softmax
+    Jacobian. w / g is kept as written: w * (1/g) rounds differently.
+    """
+    g, clamped = _g_of(np.asarray(teacher_scores, dtype=np.float64).ravel(), mode)
+    if positive:
+        weights, a = _softmax(w / g), 1.0 / g
+    else:
+        weights, a = _softmax(w * g), g
+    return weights, weights * (a - float(np.dot(weights, a))), clamped
+
+
 def ei_weights_pos(teacher_scores, w1: float, i: int, mode: str = "sigmoid"):
     """Per-positive weights (Eq.-style): softmax over the batch of w1/g(s).
 
@@ -244,20 +246,7 @@ def ei_weights_pos(teacher_scores, w1: float, i: int, mode: str = "sigmoid"):
     give lower weights (for w1 > 0): triples the smaller sub-model already
     gets right matter less.
     """
-    weights, _, _ = _ei_weights_pos_full(teacher_scores, w1, i, mode)
-    return weights
-
-
-def _ei_weights_pos_full(teacher_scores, w1, i, mode):
-    scores = np.asarray(teacher_scores, dtype=np.float64).ravel()
-    if i == 1:
-        return _uniform(len(scores)), None, 0
-    g, clamped = _g_of(scores, mode)
-    weights = _softmax(w1 / g)
-    # logits are w1 * (1/g): d w_j / d w1 via the softmax Jacobian
-    a = 1.0 / g
-    dw = weights * (a - float(np.dot(weights, a)))
-    return weights, dw, clamped
+    return _uniform(np.size(teacher_scores)) if i == 1 else _ei_weights(teacher_scores, w1, mode, True)[0]
 
 
 def ei_weights_neg(teacher_scores, w2: float, i: int, mode: str = "sigmoid"):
@@ -266,23 +255,32 @@ def ei_weights_neg(teacher_scores, w2: float, i: int, mode: str = "sigmoid"):
     Uniform at i = 1. Higher teacher scores give higher weights: negatives
     the smaller sub-model wrongly favors get extra attention.
     """
-    weights, _, _ = _ei_weights_neg_full(teacher_scores, w2, i, mode)
-    return weights
+    return _uniform(np.size(teacher_scores)) if i == 1 else _ei_weights(teacher_scores, w2, mode, False)[0]
 
 
-def _ei_weights_neg_full(teacher_scores, w2, i, mode):
-    scores = np.asarray(teacher_scores, dtype=np.float64).ravel()
-    if i == 1:
-        return _uniform(len(scores)), None, 0
-    g, clamped = _g_of(scores, mode)
-    weights = _softmax(w2 * g)
-    dw = weights * (g - float(np.dot(weights, g)))
-    return weights, dw, clamped
+def _ei_term(s_pos, s_neg, teacher=None, w1: float = 0.0, w2: float = 0.0, mode: str = "sigmoid"):
+    """Weighted BCE of one sub-model's positive and negative scores.
+
+    teacher is (positive, negative) teacher scores, or None for uniform
+    weights (i = 1, noEIM), which is the per-class-mean BCE. Returns
+    (value, d/d(positive score), d/d(negative score), d/dw1, d/dw2,
+    clamped teacher scores); the w gradients are 0.0 without a teacher.
+    """
+    lpos, lneg = softplus(-s_pos), softplus(s_neg)
+    if teacher is None:
+        pos_w, neg_w, dw1, dw2, clamped = _uniform(len(s_pos)), _uniform(len(s_neg)), 0.0, 0.0, 0
+    else:
+        pos_w, dpos_w, c1 = _ei_weights(teacher[0], w1, mode, True)
+        neg_w, dneg_w, c2 = _ei_weights(teacher[1], w2, mode, False)
+        dw1, dw2, clamped = float(np.dot(lpos, dpos_w)), float(np.dot(lneg, dneg_w)), c1 + c2
+    value = float(np.sum(pos_w * lpos) + np.sum(neg_w * lneg))
+    return value, pos_w * (sigmoid(s_pos) - 1.0), neg_w * sigmoid(s_neg), dw1, dw2, clamped
 
 
-def _add_score_grads(buf, dscores, grads, ids, tables):
-    for slot, g in grads.items():
-        buf.add(tables[slot], ids[slot], g * dscores[:, None])
+def _ml_term(prev: np.ndarray, cur: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean huber distance of neighbour scores and its d/d(prev); d/d(cur) is the negation."""
+    resid = prev - cur
+    return float(np.mean(huber(resid))), huber_grad(resid) / len(resid)
 
 
 def ei_loss(
@@ -297,34 +295,20 @@ def ei_loss(
 
     Returns (value, grads); grads cover sub-model i's touched rows and the
     scalars w1/w2 (for i > 1). force_uniform drops the teacher weighting
-    entirely, turning this into the plain per-class-mean BCE.
+    entirely, turning this into the plain per-class-mean BCE. Sub-model i
+    is gathered at d_i; the teacher is scored by a separate pass at d_{i-1}.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
-    ph, pr, pt = positives[:, 0], positives[:, 1], positives[:, 2]
-    nh, nr, nt = negatives.flat()
-
-    s_pos, gpos, ids_pos, tabs_pos = batch_score_grad(model, i, ph, pr, pt, check=False)
-    s_neg, gneg, ids_neg, tabs_neg = batch_score_grad(model, i, nh, nr, nt, check=False)
-
-    buf = GradBuffer()
-    if i == 1 or force_uniform:
-        pos_w, dw1 = _uniform(len(s_pos)), None
-        neg_w, dw2 = _uniform(len(s_neg)), None
-    else:
-        t_pos = batch_score(model, i - 1, positives)
-        t_neg = batch_score(model, i - 1, np.stack([nh, nr, nt], axis=1))
-        pos_w, dw1, c1 = _ei_weights_pos_full(t_pos, model.w1, i, mode)
-        neg_w, dw2, c2 = _ei_weights_neg_full(t_neg, model.w2, i, mode)
-        buf.clamped += c1 + c2
-
-    value, dpos, dneg = _weighted_bce(s_pos, pos_w, s_neg, neg_w)
-    _add_score_grads(buf, dpos, gpos, ids_pos, tabs_pos)
-    _add_score_grads(buf, dneg, gneg, ids_neg, tabs_neg)
-    if dw1 is not None:
-        buf.add_scalar("w1", float(np.dot(softplus(-s_pos), dw1)))
-    if dw2 is not None:
-        buf.add_scalar("w2", float(np.dot(softplus(s_neg), dw2)))
-    return value, buf
+    b = len(positives)
+    batch = PrefixBatch(model, i, positives, negatives)
+    s = batch.scores(i)
+    teacher = None
+    if i > 1 and not force_uniform:
+        t = batch_score(model, i - 1, np.concatenate([positives, np.stack(negatives.flat(), axis=1)]))
+        teacher = (t[:b], t[b:])
+    value, dpos, dneg, dw1, dw2, clamped = _ei_term(s[:b], s[b:], teacher, model.w1, model.w2, mode)
+    buf = GradBuffer({"w1": dw1, "w2": dw2, "w3": 0.0}, clamped)
+    return value, batch.grads({i: np.concatenate([dpos, dneg])}, buf)
 
 
 def mutual_learning_loss(
@@ -333,26 +317,16 @@ def mutual_learning_loss(
     """Huber distance between neighbor sub-model scores, mean-reduced.
 
     Covers the batch positives and negatives jointly. Gradients flow into
-    both sub-model i-1 and sub-model i (each learns from the other).
+    both sub-model i-1 and sub-model i (each learns from the other); each
+    is gathered at its own width.
     """
     if i < 2:
         raise ValueError("mutual learning needs a neighbor pair, i >= 2")
-    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
-    nh, nr, nt = negatives.flat()
-    h = np.concatenate([positives[:, 0], nh])
-    r = np.concatenate([positives[:, 1], nr])
-    t = np.concatenate([positives[:, 2], nt])
-
-    s_prev, gprev, ids_prev, tabs_prev = batch_score_grad(model, i - 1, h, r, t, check=False)
-    s_cur, gcur, ids_cur, tabs_cur = batch_score_grad(model, i, h, r, t, check=False)
-    resid = s_prev - s_cur
-    value = float(np.mean(huber(resid)))
-    dresid = huber_grad(resid) / len(resid)
-
-    buf = GradBuffer()
-    _add_score_grads(buf, dresid, gprev, ids_prev, tabs_prev)
-    _add_score_grads(buf, -dresid, gcur, ids_cur, tabs_cur)
-    return value, buf
+    prev = PrefixBatch(model, i - 1, positives, negatives)
+    cur = PrefixBatch(model, i, positives, negatives)
+    value, dprev = _ml_term(prev.scores(i - 1), cur.scores(i))
+    buf = prev.grads({i - 1: dprev}, GradBuffer())
+    return value, cur.grads({i: -dprev}, buf)
 
 
 def total_loss(
@@ -384,7 +358,6 @@ def total_loss(
     ei_indices = [index]
     if pair_mode == "pair" and index >= 2:
         ei_indices.append(index - 1)
-    with_ml = index >= 2 and not no_mlm
 
     w = {"w1": 0.0, "w2": 0.0, "w3": 0.0}
     clamped = 0
@@ -393,16 +366,12 @@ def total_loss(
     lambdas: dict[int, float] = {}
     total = 0.0
     for idx in ei_indices:
-        s_pos, s_neg = batch.scores(idx)[:b], batch.scores(idx)[b:]
-        if idx == 1 or no_eim:
-            pos_w, dw1 = _uniform(len(s_pos)), None
-            neg_w, dw2 = _uniform(len(s_neg)), None
-        else:
-            teacher = batch.scores(idx - 1)
-            pos_w, dw1, c1 = _ei_weights_pos_full(teacher[:b], model.w1, idx, ei_mode)
-            neg_w, dw2, c2 = _ei_weights_neg_full(teacher[b:], model.w2, idx, ei_mode)
-            clamped += c1 + c2
-        value, dpos, dneg = _weighted_bce(s_pos, pos_w, s_neg, neg_w)
+        s = batch.scores(idx)
+        teacher = None
+        if idx > 1 and not no_eim:
+            t = batch.scores(idx - 1)
+            teacher = (t[:b], t[b:])
+        value, dpos, dneg, dw1, dw2, c = _ei_term(s[:b], s[b:], teacher, model.w1, model.w2, ei_mode)
         if no_dlw:
             lam, dlam = 1.0, 0.0
         else:
@@ -410,26 +379,22 @@ def total_loss(
             lam = float(np.exp(model.w3 * ratio))
             dlam = ratio * lam
         dscores[idx] = lam * np.concatenate([dpos, dneg])
-        if dw1 is not None:
-            w["w1"] += lam * float(np.dot(softplus(-s_pos), dw1))
-            w["w2"] += lam * float(np.dot(softplus(s_neg), dw2))
+        w["w1"] += lam * dw1
+        w["w2"] += lam * dw2
         w["w3"] += float(dlam * value)
+        clamped += c
         ei_values[idx] = value
         lambdas[idx] = lam
         total += lam * value
 
     ml_value = None
-    if with_ml:
-        resid = batch.scores(index - 1) - batch.scores(index)
-        ml_value = float(np.mean(huber(resid)))
-        dresid = huber_grad(resid) / len(resid)
-        dscores[index - 1] = dscores.get(index - 1, 0.0) + dresid
-        dscores[index] = dscores[index] - dresid
+    if index >= 2 and not no_mlm:
+        ml_value, dprev = _ml_term(batch.scores(index - 1), batch.scores(index))
+        dscores[index - 1] = dscores.get(index - 1, 0.0) + dprev
+        dscores[index] = dscores[index] - dprev
         total += ml_value
 
-    buf = batch.grads(dscores)
-    buf.w = w
-    buf.clamped = clamped
+    buf = batch.grads(dscores, GradBuffer(w, clamped))
     breakdown = LossBreakdown(
         index=index,
         total=total,

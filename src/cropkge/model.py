@@ -71,7 +71,11 @@ def table_rows(score_fn: ScoreFunction, num_entities: int, num_relations: int) -
 
 
 def check_schedule(dims) -> tuple[int, ...]:
-    """Validate a crop schedule: positive ints, strictly increasing."""
+    """Validate a crop schedule: positive whole numbers, strictly increasing."""
+    dims = tuple(dims)
+    for d in dims:
+        if not isinstance(d, (int, np.integer)) and not float(d).is_integer():
+            raise ValueError(f"dimension {d!r} is not a whole number")
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("dimension schedule is empty")

@@ -195,17 +195,6 @@ def gather_slots(model: CroppableModel, i: int, h, r, t, check: bool = True):
     return vecs, ids, tables
 
 
-def batch_score_grad(model: CroppableModel, i: int, h, r, t, check: bool = True):
-    """Scores plus per-slot gradient blocks for a flat triple batch.
-
-    Returns (scores, slot_grads, slot_ids, slot_tables); slot_grads[slot]
-    is (N, d_i), aligned with slot_ids[slot].
-    """
-    vecs, ids, tables = gather_slots(model, i, h, r, t, check=check)
-    scores, grads = _kernel(model.score_fn.kind, vecs, model.score_fn.norm, want_grad=True)
-    return scores, grads, ids, tables
-
-
 def batch_score(model: CroppableModel, i: int, triples) -> np.ndarray:
     """Scores of an (N, 3) triple batch at sub-model i, order preserving."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -222,7 +211,8 @@ def score(model: CroppableModel, i: int, triple) -> float:
 def score_grad(model: CroppableModel, i: int, triple) -> ScoreGrad:
     """Score plus analytic gradients for every table row the score reads."""
     triple = np.asarray(triple, dtype=np.int64).reshape(3)
-    scores, grads, ids, tables = batch_score_grad(model, i, triple[0], triple[1], triple[2])
+    vecs, ids, tables = gather_slots(model, i, triple[0], triple[1], triple[2])
+    scores, grads = _kernel(model.score_fn.kind, vecs, model.score_fn.norm, want_grad=True)
     partials: dict[tuple[str, int], np.ndarray] = {}
     for slot, g in grads.items():
         key = (tables[slot], int(ids[slot][0]))

@@ -75,9 +75,10 @@ class TrainConfig:
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"unknown pair_mode {self.pair_mode!r}; expected one of {PAIR_MODES}")
         if self.probe_dims is not None:
-            self.probe_dims = tuple(int(d) for d in self.probe_dims)
+            # compared before the int conversion, so a fractional width is not truncated into the schedule
             if not set(self.probe_dims) <= set(self.dims):
-                raise ValueError(f"probe_dims {self.probe_dims} not a subset of schedule {self.dims}")
+                raise ValueError(f"probe_dims {tuple(self.probe_dims)} not a subset of schedule {self.dims}")
+            self.probe_dims = tuple(int(d) for d in self.probe_dims)
 
     def resolved_probe_dims(self) -> tuple[int, ...]:
         if self.probe_dims is not None:
@@ -94,7 +95,6 @@ class TrainState:
     model: CroppableModel
     adam: Adam
     rng: np.random.Generator
-    num_entities: int
     cfg: TrainConfig
     lr: float
     max_steps: int
@@ -133,7 +133,6 @@ def init_state(dataset: Dataset, cfg: TrainConfig, lr: float) -> TrainState:
         model=model,
         adam=Adam.for_model(model),
         rng=rng,
-        num_entities=dataset.num_entities,
         cfg=cfg,
         lr=lr,
         max_steps=steps_per_epoch * cfg.max_epochs,
@@ -143,7 +142,7 @@ def init_state(dataset: Dataset, cfg: TrainConfig, lr: float) -> TrainState:
 def med_step(state: TrainState, positives: np.ndarray) -> tuple[LossBreakdown, GradBuffer]:
     """MED loss and gradients on a batch of positives (no update)."""
     cfg = state.cfg
-    negatives = sample_negatives(positives, cfg.neg_per_pos, state.num_entities, state.rng)
+    negatives = sample_negatives(positives, cfg.neg_per_pos, state.model.num_entities, state.rng)
     index = int(state.rng.integers(1, state.model.n + 1))
     return total_loss(
         state.model,
@@ -196,9 +195,8 @@ class _EpochStats:
             self.lambdas.setdefault(idx, []).append(val)
         if b.ml is not None:
             self.ml.append(b.ml)
-        kl = getattr(b, "kl", None)
-        if kl is not None:
-            self.kl.append(kl)
+        if b.kl is not None:
+            self.kl.append(b.kl)
         self.clamped += b.clamped
 
     def record(self) -> dict:
@@ -312,11 +310,15 @@ def run_with_lr_policy(dataset: Dataset, cfg: TrainConfig, run_fn) -> TrainResul
     return chosen
 
 
-def train_med(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
-    """Train a croppable model; cfg.lr None runs the learning-rate search."""
+def train_med(dataset: Dataset, cfg: TrainConfig, step_fn=med_step) -> TrainResult:
+    """Train a croppable model; cfg.lr None runs the learning-rate search.
+
+    step_fn(state, positives) -> (LossBreakdown, GradBuffer) computes each
+    step's loss and gradients: the MED objective unless a caller, such as
+    distillation, passes its own.
+    """
 
     def run(lr: float) -> TrainResult:
-        state = init_state(dataset, cfg, lr)
-        return run_training_loop(dataset, cfg, state, med_step)
+        return run_training_loop(dataset, cfg, init_state(dataset, cfg, lr), step_fn)
 
     return run_with_lr_policy(dataset, cfg, run)

@@ -68,6 +68,14 @@ def rand_dataset(seed=0, num_entities=8, num_relations=3, n_train=30, n_valid=6,
     )
 
 
+def dense_grads(buf, shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+    """A GradBuffer's table gradients as full-shape arrays."""
+    out = {table: np.zeros(shape, dtype=np.float64) for table, shape in shapes.items()}
+    for table, (uids, acc) in buf.finalized().items():
+        out[table][uids, : acc.shape[1]] += acc
+    return out
+
+
 def rand_batch(rng, model, batch=5, k=3):
     """Positives plus a sampled NegativeBatch for a model-sized vocabulary."""
     pos = rand_triples(rng, batch, model.num_entities, model.num_relations)

@@ -30,7 +30,7 @@ from cropkge.model import SCORE_KINDS, ScoreFunction, crop_model, with_schedule
 from cropkge.scoring import batch_score
 from cropkge.train import TrainConfig, train_med
 
-from conftest import CRITERION_LINES, rand_batch, rand_dataset, rand_model
+from conftest import CRITERION_LINES, dense_grads, rand_batch, rand_dataset, rand_model
 
 SCHEDULE = (8, 16, 32, 64)
 SEEDS = (0, 1, 2)
@@ -136,7 +136,7 @@ def instance_max_err(trial: int) -> float | None:
             return float(np.sum(wp * softplus(-batch_score(m, i, pos)))
                          + np.sum(wn * softplus(batch_score(m, i, negs))))
 
-        dense = buf.dense(shapes)
+        dense = dense_grads(buf, shapes)
         fd, smooth = fd_tables(m, ei_frozen)
         for nme in shapes:
             for a, f, ok in zip(dense[nme].ravel(), fd[nme].ravel(),
@@ -156,7 +156,7 @@ def instance_max_err(trial: int) -> float | None:
         r = batch_score(m, 1, both) - batch_score(m, 2, both)
         return float(np.mean(huber(r)))
 
-    ml_dense = ml_buf.dense(shapes)
+    ml_dense = dense_grads(ml_buf, shapes)
     fd, smooth = fd_tables(m, ml_value)
     for nme in shapes:
         for a, f, ok in zip(ml_dense[nme].ravel(), fd[nme].ravel(),
@@ -183,7 +183,7 @@ def instance_max_err(trial: int) -> float | None:
                    + np.sum(wn * softplus(batch_score(m, 2, negs))))
         return lam * ei + ml_value()
 
-    dense = buf.dense(shapes)
+    dense = dense_grads(buf, shapes)
     fd, smooth = fd_tables(m, term_sum)
     for nme in shapes:
         for a, f, ok in zip(dense[nme].ravel(), fd[nme].ravel(),

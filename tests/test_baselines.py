@@ -20,7 +20,7 @@ from cropkge.model import ScoreFunction, reorder_dimensions
 from cropkge.scoring import batch_score
 from cropkge.train import TrainConfig, train_med
 
-from conftest import rand_batch, rand_dataset, rand_model
+from conftest import dense_grads, rand_batch, rand_dataset, rand_model
 
 
 def cfg_for(dims, **over):
@@ -181,7 +181,7 @@ def test_bkd_student_grads_vs_fd(rng):
     pos, neg = rand_batch(rng, student, batch=4, k=2)
     T, alpha = 1.5, 0.4
     _, buf = bkd_loss(student, teacher, pos, neg, temperature=T, alpha=alpha)
-    dense = buf.dense({n: t.shape for n, t in student.tables.items()})
+    dense = dense_grads(buf, {n: t.shape for n, t in student.tables.items()})
     h = 1e-6
     for name, table in student.tables.items():
         for idx in np.ndindex(table.shape):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cropkge import losses
+from cropkge import losses, scoring
 from cropkge.data import sample_negatives
 from cropkge.losses import (
     GradBuffer,
@@ -22,7 +22,7 @@ from cropkge.losses import (
 from cropkge.model import NORMS, SCORE_KINDS
 from cropkge.scoring import batch_score
 
-from conftest import rand_batch, rand_model
+from conftest import dense_grads, rand_batch, rand_model
 
 
 def shapes_of(model):
@@ -200,7 +200,7 @@ def test_ei_loss_embedding_grads_vs_frozen_weight_fd(kind, rng):
         return float(np.sum(wp * softplus(-s_pos)) + np.sum(wn * softplus(s_neg)))
 
     _, buf = ei_loss(m, i, pos, neg)
-    analytic = buf.dense(shapes_of(m))
+    analytic = dense_grads(buf, shapes_of(m))
     fd = table_fd(m, frozen_value)
     for name in m.tables:
         np.testing.assert_allclose(analytic[name], fd[name], rtol=2e-5, atol=1e-8)
@@ -236,7 +236,7 @@ def test_mutual_learning_value_and_grads(rng):
         r = batch_score(m, 1, both) - batch_score(m, 2, both)
         return float(np.mean(huber(r)))
 
-    analytic = buf.dense(shapes_of(m))
+    analytic = dense_grads(buf, shapes_of(m))
     fd = table_fd(m, true_value)
     for name in m.tables:
         np.testing.assert_allclose(analytic[name], fd[name], rtol=2e-5, atol=1e-8)
@@ -299,9 +299,9 @@ def test_total_loss_composition(rng):
     assert breakdown.total == pytest.approx(lam * ei_value + ml_value, rel=1e-14)
     assert breakdown.ei[2] == ei_value
     assert breakdown.ml == ml_value
-    dense = buf.dense(shapes_of(m))
+    dense = dense_grads(buf, shapes_of(m))
     want = {
-        name: lam * ei_buf.dense(shapes_of(m))[name] + ml_buf.dense(shapes_of(m))[name]
+        name: lam * dense_grads(ei_buf, shapes_of(m))[name] + dense_grads(ml_buf, shapes_of(m))[name]
         for name in m.tables
     }
     for name in m.tables:
@@ -365,7 +365,7 @@ def test_gradbuffer_pads_widths_and_merges():
     np.testing.assert_allclose(acc, [[3.0, 3.0]])
 
     buf.add("entity", np.array([0]), np.array([[4.0, 4.0]]))
-    dense = buf.dense({"entity": (3, 2)})
+    dense = dense_grads(buf, {"entity": (3, 2)})
     np.testing.assert_allclose(dense["entity"], [[4.0, 4.0], [3.0, 3.0], [0.0, 0.0]])
 
 
@@ -417,7 +417,7 @@ def reference_total_loss(m, index, pos, neg, no_mlm, no_eim, no_dlw, ei_mode, pa
     for scale, buf in terms:
         for name, (ids, _) in buf.finalized().items():
             rows[name].update(ids.tolist())
-        for name, g in buf.dense(shapes).items():
+        for name, g in dense_grads(buf, shapes).items():
             dense[name] += scale * g
     return LossBreakdown(index=index, total=total, ei=ei, ml=ml, lambdas=lambdas, clamped=clamped), dense, rows, w
 
@@ -452,7 +452,7 @@ def test_one_pass_total_loss_matches_reference_terms(kind, norm, pair_mode, abla
         assert buf.w == w
         finals = buf.finalized()
         assert {name: set(ids.tolist()) for name, (ids, _) in finals.items()} == rows
-        got_dense = buf.dense(shapes_of(m))
+        got_dense = dense_grads(buf, shapes_of(m))
         for name in m.tables:
             # the summation order differs, so an entry that cancels to well
             # below the table's scale keeps only an absolute agreement
@@ -463,20 +463,39 @@ def test_one_pass_total_loss_matches_reference_terms(kind, norm, pair_mode, abla
 def test_total_loss_gathers_once_and_scatters_once_per_table(rng, monkeypatch):
     m = rand_model("rotate", dims=(2, 3, 5), seed=72)
     pos, neg = rand_batch(rng, m, batch=4, k=3)
-    calls = []
+    gathers, teacher_gathers = [], []
 
-    def counting_gather(*args, **kwargs):
-        calls.append(args[1])
-        return gather(*args, **kwargs)
+    def count(module, calls):
+        gather = module.gather_slots
 
-    gather = losses.gather_slots
-    monkeypatch.setattr(losses, "gather_slots", counting_gather)
-    _, buf = total_loss(m, 3, pos, neg, pair_mode="pair")
-    assert calls == [3]
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(module, "gather_slots", counted)
+
+    count(losses, gathers)
+    count(scoring, teacher_gathers)  # batch_score's own pass
+    cases = (
+        # the fused step: one gather at d_3 feeds d_3, d_2 and d_1
+        (lambda: total_loss(m, 3, pos, neg, pair_mode="pair"), [3], []),
+        # the reference gathers each term at its own width: ei_loss once at
+        # d_3, its teacher in a separate pass at d_2; mutual learning at d_2
+        # and at d_3
+        (lambda: ei_loss(m, 3, pos, neg), [3], [2]),
+        (lambda: mutual_learning_loss(m, 3, pos, neg), [2, 3], []),
+    )
     n = len(pos) * 4
-    # one block per slot, each covering the whole batch once
-    assert {t: [len(ids) for ids, _ in c] for t, c in buf._contribs.items()} == {
-        "entity_re": [n, n], "entity_im": [n, n], "relation_phase": [n]}
+    for loss_fn, want_gathers, want_teacher_gathers in cases:
+        gathers.clear()
+        teacher_gathers.clear()
+        _, buf = loss_fn()
+        assert gathers == want_gathers
+        assert teacher_gathers == want_teacher_gathers
+        # per gather one block per slot, each covering the whole batch once
+        g = len(want_gathers)
+        assert {t: [len(ids) for ids, _ in c] for t, c in buf._contribs.items()} == {
+            "entity_re": [n] * 2 * g, "entity_im": [n] * 2 * g, "relation_phase": [n] * g}
 
 
 def test_segment_sum_matches_add_at_and_repeats_bytes():

@@ -33,8 +33,12 @@ def test_score_function_validation():
 def test_check_schedule():
     assert check_schedule([1, 2, 3]) == (1, 2, 3)
     assert check_schedule((5,)) == (5,)
+    assert check_schedule(np.array([2, 4], dtype=np.int64)) == (2, 4)
     for bad in ([], [0, 1], [2, 2], [3, 1]):
         with pytest.raises(ValueError):
+            check_schedule(bad)
+    for bad, named in (([2.7, 4.9], "2.7"), ([2, 4.5], "4.5"), ([float("nan")], "nan")):
+        with pytest.raises(ValueError, match=f"dimension {named} is not a whole number"):
             check_schedule(bad)
 
 

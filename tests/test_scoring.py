@@ -5,7 +5,6 @@ import pytest
 from cropkge.model import CroppableModel, ScoreFunction, crop_model
 from cropkge.scoring import (
     batch_score,
-    batch_score_grad,
     gather_slots,
     one_vs_all_scores,
     prefix_tables64,

@@ -43,8 +43,10 @@ def test_config_validation():
         small_cfg(max_epochs=0)
     with pytest.raises(ValueError, match="validate_every"):
         small_cfg(validate_every=0)
-    with pytest.raises(ValueError, match="probe_dims"):
-        small_cfg(probe_dims=(3,))
+    for bad in ((3,), (2.5,), (4.5,)):  # a fractional width is not truncated into the schedule
+        with pytest.raises(ValueError, match=rf"probe_dims \({bad[0]},\)"):
+            small_cfg(probe_dims=bad)
+    assert small_cfg(probe_dims=(np.int64(4), 2.0)).probe_dims == (4, 2)
     with pytest.raises(ValueError, match="strictly increasing"):
         small_cfg(dims=(4, 2))
     with pytest.raises(ValueError, match="ei_mode 'sigmod'"):
